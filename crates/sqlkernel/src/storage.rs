@@ -1,14 +1,24 @@
 //! Row storage: multi-versioned tables with stable row ids and B-tree
 //! secondary indexes.
 //!
-//! Rows live in a `BTreeMap<RowId, Chain>` where each chain is a short
-//! vector of row *versions* ordered oldest→newest. A version carries a
-//! commit stamp (an `Arc<AtomicU64>`; `0` = still uncommitted) and an
-//! optional `Arc<Row>` payload (`None` = deletion tombstone). Ids stay
-//! stable across deletes (the undo log and the indexes both key on
-//! [`RowId`]) and read paths *share* a row instead of deep-copying it:
-//! a scan hands out `Arc` clones, and mutation pushes a new version
-//! (copy-on-write at row granularity).
+//! Rows live in a dense *slab* ordered by row id: a `Vec` of ids and a
+//! parallel `Vec` of version-chain slots, so a whole-table scan is a
+//! linear walk with no tree hops. Ids are allocated monotonically, so
+//! inserts append, and while the ids are contiguous a point lookup is
+//! the offset `id - first_id` (a binary search otherwise). Deletes vacate
+//! a slot in place; vacated slots are compacted away once they exceed
+//! half the slab.
+//!
+//! Each chain holds row *versions* ordered oldest→newest. A version
+//! carries a commit stamp (an `Arc<AtomicU64>`; `0` = still uncommitted)
+//! and an optional `Arc<Row>` payload (`None` = deletion tombstone). A
+//! single-version chain — every chain in flat mode — is stored inline in
+//! its slot; only a second version spills the chain to a heap `Vec`, and
+//! a trim that leaves one version collapses it back. Ids stay stable
+//! across deletes (the undo log and the indexes both key on [`RowId`])
+//! and read paths *share* a row instead of deep-copying it: a scan hands
+//! out `Arc` clones, and mutation pushes a new version (copy-on-write at
+//! row granularity).
 //!
 //! Two read modes, switched by a thread-local [`Snapshot`]:
 //!
@@ -157,39 +167,104 @@ impl RowVersion {
     }
 }
 
-/// A row's version chain, oldest first. Flat mode keeps exactly one
-/// committed version per chain.
-#[derive(Debug, Clone, Default)]
-struct Chain {
-    versions: Vec<RowVersion>,
+/// A row's version chain, oldest first. The single-version chain — every
+/// chain in flat mode, and nearly every chain between writes — is stored
+/// inline with no heap allocation; pushing a second version spills the
+/// chain to a `Vec`, and a trim or GC that leaves one collapses it back.
+#[derive(Debug, Clone)]
+enum Chain {
+    One(RowVersion),
+    /// Two or more versions, oldest first.
+    Many(Vec<RowVersion>),
 }
 
 impl Chain {
     fn single(begin: TxnStamp, row: Arc<Row>) -> Chain {
-        Chain {
-            versions: vec![RowVersion {
-                begin,
-                row: Some(row),
-            }],
+        Chain::One(RowVersion {
+            begin,
+            row: Some(row),
+        })
+    }
+
+    /// Rebuild a chain from its versions; `None` when none are left.
+    fn from_versions(mut versions: Vec<RowVersion>) -> Option<Chain> {
+        match versions.len() {
+            0 => None,
+            1 => versions.pop().map(Chain::One),
+            _ => Some(Chain::Many(versions)),
         }
+    }
+
+    fn versions(&self) -> &[RowVersion] {
+        match self {
+            Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+
+    /// Does the chain hold more than one version?
+    fn is_multi(&self) -> bool {
+        matches!(self, Chain::Many(_))
+    }
+
+    fn push(&mut self, version: RowVersion) {
+        *self = match std::mem::replace(self, Chain::Many(Vec::new())) {
+            Chain::One(first) => Chain::Many(vec![first, version]),
+            Chain::Many(mut vs) => {
+                vs.push(version);
+                Chain::Many(vs)
+            }
+        };
+    }
+
+    /// Remove the version at `pos`, returning it and what is left of the
+    /// chain (`None` when it was the only version).
+    fn without(self, pos: usize) -> (RowVersion, Option<Chain>) {
+        match self {
+            Chain::One(v) => (v, None),
+            Chain::Many(mut vs) => {
+                let v = vs.remove(pos);
+                (v, Chain::from_versions(vs))
+            }
+        }
+    }
+
+    /// Remove the `n` oldest versions; at least one version must remain.
+    fn drain_oldest(&mut self, n: usize) -> Vec<RowVersion> {
+        let Chain::Many(vs) = self else {
+            return Vec::new();
+        };
+        let removed: Vec<RowVersion> = vs.drain(..n).collect();
+        if let Some(rest) = Chain::from_versions(std::mem::take(vs)) {
+            *self = rest;
+        }
+        removed
     }
 
     /// The newest version's payload — the "physical latest" row the WAL
     /// after-image derivation and flat mode read. `None` when the newest
     /// version is a tombstone.
     fn latest(&self) -> Option<&Arc<Row>> {
-        self.versions.last().and_then(|v| v.row.as_ref())
+        self.versions().last().and_then(|v| v.row.as_ref())
+    }
+
+    /// Consume the chain, returning the newest version's payload.
+    fn into_latest(self) -> Option<Arc<Row>> {
+        match self {
+            Chain::One(v) => v.row,
+            Chain::Many(mut vs) => vs.pop().and_then(|v| v.row),
+        }
     }
 
     /// Is the newest version a live row (not a tombstone)?
     fn top_is_live(&self) -> bool {
-        self.versions.last().is_some_and(|v| v.row.is_some())
+        self.latest().is_some()
     }
 
     /// Resolve against a snapshot: newest first, first own-or-committed
     /// version wins; its tombstone means "not visible".
     fn visible(&self, snap: &Snapshot) -> Option<&Arc<Row>> {
-        for v in self.versions.iter().rev() {
+        for v in self.versions().iter().rev() {
             if Arc::ptr_eq(&v.begin, &snap.stamp) {
                 return v.row.as_ref();
             }
@@ -199,6 +274,124 @@ impl Chain {
             }
         }
         None
+    }
+}
+
+/// Version chains in ascending row-id order: a dense id vector and a
+/// parallel vector of chain slots, so a scan is a linear walk with no
+/// tree hops. Ids are handed out monotonically, so inserts append; while
+/// the ids are contiguous a lookup is the offset `id - first_id`,
+/// otherwise a binary search. An out-of-order id (a `restore` or
+/// `raw_replace` of an id that is no longer held) is inserted in place.
+///
+/// Removing a chain only vacates its slot, keeping ids, positions and
+/// contiguity put, so an undo that re-inserts the id refills the slot in
+/// O(1) — even a reverse-order rollback of a whole-table delete. Vacated
+/// slots are compacted away once they exceed half the slab, checked
+/// before an append and after a GC sweep, which bounds the slab at twice
+/// the occupied slots under insert/delete churn.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    ids: Vec<RowId>,
+    slots: Vec<Option<Chain>>,
+    /// Number of `None` slots.
+    vacant: usize,
+}
+
+impl Slab {
+    /// Position of `id`, or where it would be inserted.
+    fn find(&self, id: RowId) -> Result<usize, usize> {
+        let (Some(&first), Some(&last)) = (self.ids.first(), self.ids.last()) else {
+            return Err(0);
+        };
+        let n = self.ids.len();
+        // Ids are strictly ascending, so a span of exactly `n` ids means
+        // every id in it is present.
+        if last - first == (n - 1) as u64 {
+            if id < first {
+                Err(0)
+            } else if id > last {
+                Err(n)
+            } else {
+                Ok((id - first) as usize)
+            }
+        } else {
+            self.ids.binary_search(&id)
+        }
+    }
+
+    fn get(&self, id: RowId) -> Option<&Chain> {
+        self.find(id).ok().and_then(|i| self.slots[i].as_ref())
+    }
+
+    fn get_mut(&mut self, id: RowId) -> Option<&mut Chain> {
+        self.find(id).ok().and_then(|i| self.slots[i].as_mut())
+    }
+
+    /// Occupied chains in row-id order.
+    fn chains(&self) -> impl Iterator<Item = &Chain> {
+        self.slots.iter().flatten()
+    }
+
+    /// Occupied `(id, chain)` pairs in row-id order.
+    fn iter(&self) -> impl Iterator<Item = (RowId, &Chain)> {
+        self.ids
+            .iter()
+            .zip(&self.slots)
+            .filter_map(|(&id, slot)| slot.as_ref().map(|c| (id, c)))
+    }
+
+    /// Install `chain` under `id`, replacing any chain already there.
+    fn put(&mut self, id: RowId, chain: Chain) {
+        match self.find(id) {
+            Ok(i) => {
+                if self.slots[i].replace(chain).is_none() {
+                    self.vacant -= 1;
+                }
+            }
+            Err(i) if i == self.ids.len() => {
+                self.compact_if_sparse();
+                self.ids.push(id);
+                self.slots.push(Some(chain));
+            }
+            Err(i) => {
+                self.ids.insert(i, id);
+                self.slots.insert(i, Some(chain));
+            }
+        }
+    }
+
+    /// Vacate `id`'s slot, returning its chain.
+    fn remove(&mut self, id: RowId) -> Option<Chain> {
+        let i = self.find(id).ok()?;
+        let chain = self.slots[i].take()?;
+        self.vacant += 1;
+        Some(chain)
+    }
+
+    /// Visit every chain in row-id order, vacating those `keep` rejects,
+    /// then compact if that left the slab sparse.
+    fn retain_mut(&mut self, mut keep: impl FnMut(RowId, &mut Chain) -> bool) {
+        for (&id, slot) in self.ids.iter().zip(self.slots.iter_mut()) {
+            if let Some(chain) = slot {
+                if !keep(id, chain) {
+                    *slot = None;
+                    self.vacant += 1;
+                }
+            }
+        }
+        self.compact_if_sparse();
+    }
+
+    /// Drop vacated slots once they are more than half the slab.
+    fn compact_if_sparse(&mut self) {
+        if self.vacant * 2 <= self.slots.len() {
+            return;
+        }
+        let mut occupied = self.slots.iter().map(Option::is_some);
+        self.ids.retain(|_| occupied.next() == Some(true));
+        self.slots.retain(Option::is_some);
+        self.vacant = 0;
     }
 }
 
@@ -364,11 +557,15 @@ impl Index {
 /// version of the same chain still carries the same key. (Every index
 /// entry must be backed by at least one retained version — lookups rely
 /// on that invariant to skip the key re-check on single-version chains.)
-fn unindex_unless_retained(indexes: &mut [Index], chain: &Chain, id: RowId, dropped: &Row) {
+fn unindex_unless_retained(
+    indexes: &mut [Index],
+    retained: &[RowVersion],
+    id: RowId,
+    dropped: &Row,
+) {
     for idx in indexes.iter_mut() {
         let key = idx.key_of(dropped);
-        let retained = chain
-            .versions
+        let retained = retained
             .iter()
             .any(|v| v.row.as_deref().is_some_and(|r| idx.key_of(r) == key));
         if !retained {
@@ -382,7 +579,7 @@ fn unindex_unless_retained(indexes: &mut [Index], chain: &Chain, id: RowId, drop
 /// future snapshot may still need it) and everything newer; drop all
 /// older versions. Returns how many versions were dropped.
 fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -> u64 {
-    let Some(anchor) = chain.versions.iter().rposition(|v| {
+    let Some(anchor) = chain.versions().iter().rposition(|v| {
         let ts = v.committed_at();
         ts != 0 && ts <= floor
     }) else {
@@ -391,11 +588,11 @@ fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -
     if anchor == 0 {
         return 0;
     }
-    let removed: Vec<RowVersion> = chain.versions.drain(..anchor).collect();
+    let removed = chain.drain_oldest(anchor);
     let dropped = removed.len() as u64;
     for v in removed {
         if let Some(r) = v.row {
-            unindex_unless_retained(indexes, chain, id, &r);
+            unindex_unless_retained(indexes, chain.versions(), id, &r);
         }
     }
     dropped
@@ -405,7 +602,7 @@ fn trim_chain(indexes: &mut [Index], id: RowId, chain: &mut Chain, floor: u64) -
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
-    rows: BTreeMap<RowId, Chain>,
+    rows: Slab,
     /// Number of chains whose newest version is a live row (flat-mode
     /// `len()`); maintained incrementally by every mutation.
     live: usize,
@@ -420,7 +617,7 @@ impl Table {
     /// for `UNIQUE` columns.
     pub fn new(schema: TableSchema) -> Table {
         let mut t = Table {
-            rows: BTreeMap::new(),
+            rows: Slab::default(),
             live: 0,
             next_row_id: 1,
             indexes: Vec::new(),
@@ -482,7 +679,7 @@ impl Table {
         match snap {
             None => chain.latest(),
             Some(s) => {
-                if chain.versions.len() > 1 {
+                if chain.is_multi() {
                     self.mvcc.chains_walked.fetch_add(1, AtomicOrd::Relaxed);
                 }
                 chain.visible(s)
@@ -495,9 +692,9 @@ impl Table {
     /// snapshot installed, only versions visible to it are yielded.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Arc<Row>)> {
         let snap = current_snapshot();
-        self.rows.iter().filter_map(move |(id, chain)| {
-            self.resolve_with(chain, snap.as_ref()).map(|r| (*id, r))
-        })
+        self.rows
+            .iter()
+            .filter_map(move |(id, chain)| self.resolve_with(chain, snap.as_ref()).map(|r| (id, r)))
     }
 
     /// Iterate row data in row-id order *by reference* — the batch
@@ -508,7 +705,7 @@ impl Table {
     pub fn scan(&self) -> impl Iterator<Item = &Arc<Row>> {
         let snap = current_snapshot();
         self.rows
-            .values()
+            .chains()
             .filter_map(move |chain| self.resolve_with(chain, snap.as_ref()))
     }
 
@@ -516,7 +713,7 @@ impl Table {
     /// any installed snapshot. WAL after-image derivation and recovery
     /// depend on this; snapshot readers use [`Table::get_visible`].
     pub fn get(&self, id: RowId) -> Option<&Arc<Row>> {
-        self.rows.get(&id).and_then(|c| c.latest())
+        self.rows.get(id).and_then(Chain::latest)
     }
 
     /// Fetch the version of one row visible to the installed snapshot
@@ -524,7 +721,7 @@ impl Table {
     pub fn get_visible(&self, id: RowId) -> Option<&Arc<Row>> {
         let snap = current_snapshot();
         self.rows
-            .get(&id)
+            .get(id)
             .and_then(|c| self.resolve_with(c, snap.as_ref()))
     }
 
@@ -541,10 +738,10 @@ impl Table {
         let snap = current_snapshot();
         let mut out = Vec::new();
         for id in idx.lookup(key) {
-            let Some(chain) = self.rows.get(&id) else {
+            let Some(chain) = self.rows.get(id) else {
                 continue;
             };
-            let multi = chain.versions.len() > 1;
+            let multi = chain.is_multi();
             let Some(row) = self.resolve_with(chain, snap.as_ref()) else {
                 continue;
             };
@@ -576,10 +773,10 @@ impl Table {
         let mut out = Vec::new();
         let mut emit = |key: &SortKey, ids: &BTreeSet<RowId>| {
             for &id in ids {
-                let Some(chain) = self.rows.get(&id) else {
+                let Some(chain) = self.rows.get(id) else {
                     continue;
                 };
-                let multi = chain.versions.len() > 1;
+                let multi = chain.is_multi();
                 let Some(row) = self.resolve_with(chain, snap.as_ref()) else {
                     continue;
                 };
@@ -650,7 +847,7 @@ impl Table {
             idx.add_entry(&row, id);
         }
         let stamp = Table::write_stamp(current_snapshot().as_ref());
-        self.rows.insert(id, Chain::single(stamp, Arc::new(row)));
+        self.rows.put(id, Chain::single(stamp, Arc::new(row)));
         self.live += 1;
         Ok(id)
     }
@@ -659,13 +856,13 @@ impl Table {
     /// Flat-mode physical restore: replaces the whole chain.
     pub fn restore(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
-        let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
+        let was_live = self.rows.get(id).is_some_and(Chain::top_is_live);
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
         self.next_row_id = self.next_row_id.max(id + 1);
         self.rows
-            .insert(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
+            .put(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
         if !was_live {
             self.live += 1;
         }
@@ -674,10 +871,10 @@ impl Table {
     /// Remove every retained version's index entries for `id` (prelude
     /// to physically replacing the chain).
     fn drop_chain_entries(&mut self, id: RowId) {
-        let Some(chain) = self.rows.get(&id) else {
+        let Some(chain) = self.rows.get(id) else {
             return;
         };
-        for v in &chain.versions {
+        for v in chain.versions() {
             if let Some(r) = &v.row {
                 for idx in &mut self.indexes {
                     let key = idx.key_of(r);
@@ -697,7 +894,7 @@ impl Table {
         let snap = current_snapshot();
         let Some(snap) = snap else {
             // Flat path: byte-identical to the single-version engine.
-            let Some(old) = self.rows.get(&id).and_then(|c| c.latest()).cloned() else {
+            let Some(old) = self.rows.get(id).and_then(Chain::latest).cloned() else {
                 return Err(SqlError::NotFound(format!(
                     "row {id} in table '{}'",
                     self.schema.name
@@ -712,12 +909,12 @@ impl Table {
                 }
             }
             self.rows
-                .insert(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
+                .put(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
             return Ok(unshare_row(old));
         };
         let Some(old) = self
             .rows
-            .get(&id)
+            .get(id)
             .and_then(|c| self.resolve_with(c, Some(&snap)))
             .cloned()
         else {
@@ -735,12 +932,12 @@ impl Table {
             live,
             ..
         } = self;
-        let chain = rows.get_mut(&id).expect("chain exists: resolved above");
+        let chain = rows.get_mut(id).expect("chain exists: resolved above");
         for idx in indexes.iter_mut() {
             idx.add_entry(&row, id);
         }
         let was_live = chain.top_is_live();
-        chain.versions.push(RowVersion {
+        chain.push(RowVersion {
             begin: Arc::clone(&snap.stamp),
             row: Some(Arc::new(row)),
         });
@@ -759,14 +956,13 @@ impl Table {
     /// known-valid. Flat-mode physical replace (whole chain).
     pub fn raw_replace(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
-        let was_live = self.rows.get(&id).is_some_and(Chain::top_is_live);
-        let absent = !self.rows.contains_key(&id);
+        let was_live = self.rows.get(id).is_some_and(Chain::top_is_live);
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
         self.rows
-            .insert(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
-        if !was_live || absent {
+            .put(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
+        if !was_live {
             self.live += 1;
         }
     }
@@ -778,11 +974,11 @@ impl Table {
         let snap = current_snapshot();
         let Some(snap) = snap else {
             // Flat path: physically remove the chain.
-            let chain = self.rows.remove(&id).ok_or_else(|| {
+            let chain = self.rows.remove(id).ok_or_else(|| {
                 SqlError::NotFound(format!("row {id} in table '{}'", self.schema.name))
             })?;
             let was_live = chain.top_is_live();
-            for v in &chain.versions {
+            for v in chain.versions() {
                 if let Some(r) = &v.row {
                     for idx in &mut self.indexes {
                         let key = idx.key_of(r);
@@ -793,19 +989,14 @@ impl Table {
             if was_live {
                 self.live -= 1;
             }
-            let row = chain
-                .versions
-                .into_iter()
-                .next_back()
-                .and_then(|v| v.row)
-                .ok_or_else(|| {
-                    SqlError::NotFound(format!("row {id} in table '{}'", self.schema.name))
-                })?;
+            let row = chain.into_latest().ok_or_else(|| {
+                SqlError::NotFound(format!("row {id} in table '{}'", self.schema.name))
+            })?;
             return Ok(unshare_row(row));
         };
         let Some(old) = self
             .rows
-            .get(&id)
+            .get(id)
             .and_then(|c| self.resolve_with(c, Some(&snap)))
             .cloned()
         else {
@@ -822,9 +1013,9 @@ impl Table {
             live,
             ..
         } = self;
-        let chain = rows.get_mut(&id).expect("chain exists: resolved above");
+        let chain = rows.get_mut(id).expect("chain exists: resolved above");
         let was_live = chain.top_is_live();
-        chain.versions.push(RowVersion {
+        chain.push(RowVersion {
             begin: Arc::clone(&snap.stamp),
             row: None,
         });
@@ -849,24 +1040,26 @@ impl Table {
             live,
             ..
         } = self;
-        let Some(chain) = rows.get_mut(&id) else {
+        let Some(chain) = rows.get(id) else {
             return;
         };
         let was_live = chain.top_is_live();
         let Some(pos) = chain
-            .versions
+            .versions()
             .iter()
             .rposition(|v| Arc::ptr_eq(&v.begin, stamp))
         else {
             return;
         };
-        let removed = chain.versions.remove(pos);
+        let chain = rows.remove(id).expect("chain exists: found above");
+        let (removed, rest) = chain.without(pos);
         if let Some(r) = &removed.row {
-            unindex_unless_retained(indexes, chain, id, r);
+            let retained = rest.as_ref().map_or(&[][..], Chain::versions);
+            unindex_unless_retained(indexes, retained, id, r);
         }
-        let now_live = chain.top_is_live();
-        if chain.versions.is_empty() {
-            rows.remove(&id);
+        let now_live = rest.as_ref().is_some_and(Chain::top_is_live);
+        if let Some(rest) = rest {
+            rows.put(id, rest);
         }
         match (was_live, now_live) {
             (true, false) => *live -= 1,
@@ -904,20 +1097,20 @@ impl Table {
             ..
         } = self;
         let mut dropped = 0u64;
-        let mut dead: Vec<RowId> = Vec::new();
-        for (id, chain) in rows.iter_mut() {
-            dropped += trim_chain(indexes, *id, chain, floor);
-            if chain.versions.len() == 1 && chain.versions[0].row.is_none() {
-                let ts = chain.versions[0].committed_at();
-                if ts != 0 && ts <= floor {
-                    dead.push(*id);
+        rows.retain_mut(|id, chain| {
+            dropped += trim_chain(indexes, id, chain, floor);
+            let dead = match chain {
+                Chain::One(v) if v.row.is_none() => {
+                    let ts = v.committed_at();
+                    ts != 0 && ts <= floor
                 }
+                _ => false,
+            };
+            if dead {
+                dropped += 1;
             }
-        }
-        for id in dead {
-            rows.remove(&id);
-            dropped += 1;
-        }
+            !dead
+        });
         if dropped > 0 {
             mvcc.versions_gced.fetch_add(dropped, AtomicOrd::Relaxed);
         }
@@ -927,7 +1120,7 @@ impl Table {
     /// Total retained versions across all chains (tombstones included) —
     /// test/diagnostic aid for GC behavior.
     pub fn version_count(&self) -> usize {
-        self.rows.values().map(|c| c.versions.len()).sum()
+        self.rows.chains().map(|c| c.versions().len()).sum()
     }
 
     fn check_unique(&self, row: &Row, exclude: Option<RowId>) -> SqlResult<()> {
@@ -946,9 +1139,9 @@ impl Table {
             // versions don't constrain new writes).
             let clash = idx.lookup(&key).any(|id| {
                 Some(id) != exclude
-                    && self.rows.get(&id).is_some_and(|c| {
+                    && self.rows.get(id).is_some_and(|c| {
                         c.latest()
-                            .is_some_and(|r| c.versions.len() == 1 || idx.key_of(r) == key)
+                            .is_some_and(|r| !c.is_multi() || idx.key_of(r) == key)
                     })
             });
             if clash {
@@ -1000,7 +1193,7 @@ impl Table {
             unique,
             map: BTreeMap::new(),
         };
-        for (id, chain) in &self.rows {
+        for (id, chain) in self.rows.iter() {
             if let Some(row) = chain.latest() {
                 let key = idx.key_of(row);
                 if unique && !Index::key_has_null(&key) && idx.map.contains_key(&key) {
@@ -1009,17 +1202,17 @@ impl Table {
                         idx.name
                     )));
                 }
-                idx.map.entry(key).or_default().insert(*id);
+                idx.map.entry(key).or_default().insert(id);
             }
         }
         // Historical versions: index them too so snapshot readers keep
         // finding the rows they can see (no uniqueness constraint — only
         // the newest version constrains).
-        for (id, chain) in &self.rows {
-            if chain.versions.len() > 1 {
-                for v in &chain.versions {
+        for (id, chain) in self.rows.iter() {
+            if chain.is_multi() {
+                for v in chain.versions() {
                     if let Some(r) = &v.row {
-                        idx.map.entry(idx.key_of(r)).or_default().insert(*id);
+                        idx.map.entry(idx.key_of(r)).or_default().insert(id);
                     }
                 }
             }
@@ -1569,5 +1762,46 @@ mod tests {
             wstamp.store(i as u64 + 1, AtomicOrd::Release);
         }
         assert!(t.version_count() <= 3, "chain grew: {}", t.version_count());
+    }
+
+    #[test]
+    fn slab_stays_bounded_under_insert_delete_churn() {
+        // The per-epoch pattern of a confirmations table: a batch of rows
+        // arrives, some are rewritten, all are deleted under a snapshot,
+        // and a checkpoint GC reclaims them.
+        let mut t = table();
+        let bounded = |t: &Table| t.rows.slots.len() <= 2 * t.len() + 2;
+        for round in 0..50u64 {
+            let ids: Vec<RowId> = (0..256)
+                .map(|i| t.insert(row(i, "c", i)).unwrap())
+                .collect();
+            assert!(bounded(&t), "round {round}: {} slots", t.rows.slots.len());
+
+            let (wsnap, wstamp) = snap(2 * round + 1);
+            {
+                let _scope = enter_snapshot(wsnap);
+                for (pk, &id) in ids.iter().enumerate().step_by(2) {
+                    t.update(id, row(pk as i64, "u", 0)).unwrap();
+                }
+            }
+            wstamp.store(2 * round + 2, AtomicOrd::Release);
+            t.gc_versions(u64::MAX);
+            assert!(
+                t.rows.chains().all(|c| !c.is_multi()),
+                "round {round}: GC left a spilled chain"
+            );
+
+            let (wsnap, wstamp) = snap(2 * round + 2);
+            {
+                let _scope = enter_snapshot(wsnap);
+                for &id in &ids {
+                    t.delete(id).unwrap();
+                }
+            }
+            wstamp.store(2 * round + 3, AtomicOrd::Release);
+            t.gc_versions(u64::MAX);
+            assert_eq!((t.len(), t.version_count()), (0, 0), "round {round}");
+            assert!(bounded(&t), "round {round}: {} slots", t.rows.slots.len());
+        }
     }
 }

@@ -62,4 +62,10 @@ BENCH_SMOKE=1 ./target/release/bench_storage >/dev/null
 # compiled join results are byte-identical to the interpreter's.
 BENCH_SMOKE=1 ./target/release/bench_joins >/dev/null
 
+# The running-example instance benchmark is a package of its own (empty
+# [workspace]), so --workspace above does not reach it. Its smoke tests
+# run every workload briefly and fail unless all of the benchmark's
+# output checks pass.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "verify: OK"
