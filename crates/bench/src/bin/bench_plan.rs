@@ -4,7 +4,7 @@
 //! Three comparisons, each isolating one layer of the plan work:
 //!
 //! 1. **interpreted vs compiled**: the same parameterized SELECT executed
-//!    by re-parsing + tree-walking every iteration versus through
+//!    by re-parsing, binding and interpreting every iteration versus through
 //!    `Connection::execute`, which reuses the cached bound plan (ordinal
 //!    column access, folded constants) after the first call.
 //! 2. **full scan vs index range scan**: an identical `BETWEEN` probe on
@@ -13,16 +13,32 @@
 //!    alone, `ORDER BY … LIMIT k` without an index (bounded heap), and
 //!    `ORDER BY … LIMIT k` served directly in index key order.
 //!
+//! Every query is first run through both `Connection::execute_ast` (the
+//! interpreter: bind + row-at-a-time bound evaluation) and
+//! `Connection::execute` (the cached compiled plan), and the two results
+//! must be byte-identical before any timing starts.
+//!
 //! All workloads are deterministic (seeded data, fixed iteration
 //! counts); wall-clock numbers vary by host but the orderings should
-//! not.
+//! not. `BENCH_SMOKE=1` shrinks the data and iteration counts and skips
+//! the JSON write — the identity and access-path assertions still run.
 
 use std::time::Instant;
 
 use sqlkernel::parser::parse_statement;
-use sqlkernel::{Connection, Database, Value};
+use sqlkernel::{Connection, Database, StatementResult, Value};
 
 const DB_ROWS: usize = 20_000;
+const SMOKE_ROWS: usize = 2_000;
+
+/// Data size and per-workload iteration counts for one run.
+struct Scale {
+    rows: usize,
+    /// Iterations for the select and BETWEEN workloads.
+    iters: u64,
+    /// Iterations for the ORDER BY workloads.
+    sort_iters: u64,
+}
 
 /// Engine counters summed over every database the benchmark touches.
 #[derive(Default)]
@@ -69,6 +85,20 @@ fn per_stmt_us(secs: f64, iters: u64) -> f64 {
     secs / iters as f64 * 1e6
 }
 
+/// The interpreter and the compiled plan must return the same grid.
+fn assert_identical(conn: &Connection, sql: &str, params: &[Value]) {
+    let stmt = parse_statement(sql).expect("benchmark query parses");
+    let interpreted = match conn.execute_ast(&stmt, params).unwrap() {
+        StatementResult::Rows(r) => r,
+        other => panic!("workload must return rows, got {other:?}"),
+    };
+    assert_eq!(
+        interpreted,
+        conn.query(sql, params).unwrap(),
+        "{sql}: compiled result must be byte-identical to interpreted"
+    );
+}
+
 fn json_point(name: &str, iters: u64, secs: f64, extra: &str) -> String {
     format!(
         "    {{ \"workload\": {name:?}, \"iterations\": {iters}, \
@@ -77,41 +107,46 @@ fn json_point(name: &str, iters: u64, secs: f64, extra: &str) -> String {
     )
 }
 
-fn bench_interpreted_vs_compiled(conn: &Connection, points: &mut Vec<String>) -> (f64, f64) {
+fn bench_interpreted_vs_compiled(
+    conn: &Connection,
+    scale: &Scale,
+    points: &mut Vec<String>,
+) -> (f64, f64) {
     const Q: &str = "SELECT OrderId, Quantity * 2 + 1 FROM Orders \
                      WHERE Quantity > ? AND Approved = TRUE";
-    const ITERS: u64 = 300;
+    let iters = scale.iters;
     let params = [Value::Int(25)];
+    assert_identical(conn, Q, &params);
 
-    // Interpreted: parse + tree-walk per iteration (what every execution
-    // cost before the statement and plan caches).
-    let interpreted = time_runs(ITERS, || {
+    // Interpreted: parse + bind + row-at-a-time evaluation per iteration
+    // (what every execution cost before the statement and plan caches).
+    let interpreted = time_runs(iters, || {
         let stmt = parse_statement(Q).unwrap();
         std::hint::black_box(conn.execute_ast(&stmt, &params).unwrap());
     });
 
     // Compiled: warm the plan, then run through the cache.
     conn.execute(Q, &params).unwrap();
-    let compiled = time_runs(ITERS, || {
+    let compiled = time_runs(iters, || {
         std::hint::black_box(conn.execute(Q, &params).unwrap());
     });
 
-    points.push(json_point("select_parse_interpret", ITERS, interpreted, ""));
+    points.push(json_point("select_parse_interpret", iters, interpreted, ""));
     points.push(json_point(
         "select_compiled_plan",
-        ITERS,
+        iters,
         compiled,
         &format!(", \"speedup\": {:.2}", interpreted / compiled),
     ));
     (interpreted, compiled)
 }
 
-fn bench_scan_vs_range(points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64) {
+fn bench_scan_vs_range(scale: &Scale, points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64) {
     const Q: &str = "SELECT OrderId FROM Orders WHERE Quantity BETWEEN 10 AND 12";
-    const ITERS: u64 = 300;
+    let iters = scale.iters;
 
-    let plain = bench::seeded_orders_db("plan_scan", DB_ROWS);
-    let indexed = bench::seeded_orders_db("plan_range", DB_ROWS);
+    let plain = bench::seeded_orders_db("plan_scan", scale.rows);
+    let indexed = bench::seeded_orders_db("plan_range", scale.rows);
     indexed
         .connect()
         .execute("CREATE INDEX idx_qty ON Orders (Quantity)", &[])
@@ -119,26 +154,26 @@ fn bench_scan_vs_range(points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64) {
 
     let c_plain = plain.connect();
     let c_indexed = indexed.connect();
-    c_plain.query(Q, &[]).unwrap();
-    c_indexed.query(Q, &[]).unwrap();
+    assert_identical(&c_plain, Q, &[]);
+    assert_identical(&c_indexed, Q, &[]);
     assert_eq!(
         c_plain.query(Q, &[]).unwrap().len(),
         c_indexed.query(Q, &[]).unwrap().len(),
         "index must not change the result"
     );
 
-    let full = time_runs(ITERS, || {
+    let full = time_runs(iters, || {
         std::hint::black_box(c_plain.query(Q, &[]).unwrap());
     });
-    let range = time_runs(ITERS, || {
+    let range = time_runs(iters, || {
         std::hint::black_box(c_indexed.query(Q, &[]).unwrap());
     });
     assert!(indexed.stats().range_scans > 0, "range path must be taken");
 
-    points.push(json_point("between_full_scan", ITERS, full, ""));
+    points.push(json_point("between_full_scan", iters, full, ""));
     points.push(json_point(
         "between_index_range_scan",
-        ITERS,
+        iters,
         range,
         &format!(", \"speedup\": {:.2}", full / range),
     ));
@@ -147,13 +182,17 @@ fn bench_scan_vs_range(points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64) {
     (full, range)
 }
 
-fn bench_sort_topk_indexorder(points: &mut Vec<String>, agg: &mut Agg) -> (f64, f64, f64) {
+fn bench_sort_topk_indexorder(
+    scale: &Scale,
+    points: &mut Vec<String>,
+    agg: &mut Agg,
+) -> (f64, f64, f64) {
     const Q_SORT: &str = "SELECT OrderId FROM Orders ORDER BY Quantity";
     const Q_TOPK: &str = "SELECT OrderId FROM Orders ORDER BY Quantity LIMIT 10";
-    const ITERS: u64 = 200;
+    let iters = scale.sort_iters;
 
-    let plain = bench::seeded_orders_db("plan_sort", DB_ROWS);
-    let indexed = bench::seeded_orders_db("plan_idxorder", DB_ROWS);
+    let plain = bench::seeded_orders_db("plan_sort", scale.rows);
+    let indexed = bench::seeded_orders_db("plan_idxorder", scale.rows);
     indexed
         .connect()
         .execute("CREATE INDEX idx_qty ON Orders (Quantity)", &[])
@@ -161,30 +200,31 @@ fn bench_sort_topk_indexorder(points: &mut Vec<String>, agg: &mut Agg) -> (f64, 
 
     let c_plain = plain.connect();
     let c_indexed = indexed.connect();
-    c_plain.query(Q_TOPK, &[]).unwrap();
-    c_indexed.query(Q_TOPK, &[]).unwrap();
+    assert_identical(&c_plain, Q_SORT, &[]);
+    assert_identical(&c_plain, Q_TOPK, &[]);
+    assert_identical(&c_indexed, Q_TOPK, &[]);
 
-    let full_sort = time_runs(ITERS, || {
+    let full_sort = time_runs(iters, || {
         std::hint::black_box(c_plain.query(Q_SORT, &[]).unwrap());
     });
-    let topk = time_runs(ITERS, || {
+    let topk = time_runs(iters, || {
         std::hint::black_box(c_plain.query(Q_TOPK, &[]).unwrap());
     });
-    let index_order = time_runs(ITERS, || {
+    let index_order = time_runs(iters, || {
         std::hint::black_box(c_indexed.query(Q_TOPK, &[]).unwrap());
     });
     assert!(plain.stats().topk_sorts > 0, "top-K path must be taken");
 
-    points.push(json_point("order_by_full_sort", ITERS, full_sort, ""));
+    points.push(json_point("order_by_full_sort", iters, full_sort, ""));
     points.push(json_point(
         "order_by_limit_topk_heap",
-        ITERS,
+        iters,
         topk,
         &format!(", \"speedup_vs_full_sort\": {:.2}", full_sort / topk),
     ));
     points.push(json_point(
         "order_by_limit_index_order",
-        ITERS,
+        iters,
         index_order,
         &format!(", \"speedup_vs_full_sort\": {:.2}", full_sort / index_order),
     ));
@@ -194,34 +234,52 @@ fn bench_sort_topk_indexorder(points: &mut Vec<String>, agg: &mut Agg) -> (f64, 
 }
 
 fn main() {
-    let db = bench::seeded_orders_db("plan_exec", DB_ROWS);
+    let smoke = std::env::var("BENCH_SMOKE").is_ok();
+    let scale = if smoke {
+        Scale {
+            rows: SMOKE_ROWS,
+            iters: 5,
+            sort_iters: 5,
+        }
+    } else {
+        Scale {
+            rows: DB_ROWS,
+            iters: 300,
+            sort_iters: 200,
+        }
+    };
+    let db = bench::seeded_orders_db("plan_exec", scale.rows);
     let conn = db.connect();
 
     let mut points = Vec::new();
     let mut agg = Agg::default();
-    let (interp, compiled) = bench_interpreted_vs_compiled(&conn, &mut points);
-    let (full, range) = bench_scan_vs_range(&mut points, &mut agg);
-    let (sort, topk, idxord) = bench_sort_topk_indexorder(&mut points, &mut agg);
+    let (interp, compiled) = bench_interpreted_vs_compiled(&conn, &scale, &mut points);
+    let (full, range) = bench_scan_vs_range(&scale, &mut points, &mut agg);
+    let (sort, topk, idxord) = bench_sort_topk_indexorder(&scale, &mut points, &mut agg);
     agg.add(&db);
 
     eprintln!(
         "interpreted {:.1}us vs compiled {:.1}us  (×{:.2})",
-        per_stmt_us(interp, 300),
-        per_stmt_us(compiled, 300),
+        per_stmt_us(interp, scale.iters),
+        per_stmt_us(compiled, scale.iters),
         interp / compiled
     );
     eprintln!(
         "full scan {:.1}us vs range scan {:.1}us  (×{:.2})",
-        per_stmt_us(full, 300),
-        per_stmt_us(range, 300),
+        per_stmt_us(full, scale.iters),
+        per_stmt_us(range, scale.iters),
         full / range
     );
     eprintln!(
         "full sort {:.1}us vs top-K {:.1}us vs index order {:.1}us",
-        per_stmt_us(sort, 200),
-        per_stmt_us(topk, 200),
-        per_stmt_us(idxord, 200)
+        per_stmt_us(sort, scale.sort_iters),
+        per_stmt_us(topk, scale.sort_iters),
+        per_stmt_us(idxord, scale.sort_iters)
     );
+    if smoke {
+        eprintln!("BENCH_SMOKE set; skipping JSON write");
+        return;
+    }
 
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -230,14 +288,16 @@ fn main() {
         "{{\n  \"bench\": \"compiled_plan_cache\",\n  \"db_rows\": {rows},\n  \"host_cpus\": {cpus},\n  \
          \"note\": \"per_stmt_us is wall-clock per statement, median of 3 runs; \
          speedups compare against the first workload of each pair/triple; \
-         engine_stats sums counters over all benchmark databases\",\n  \
+         select_parse_interpret is parse + bind + row-at-a-time bound evaluation; \
+         every query's interpreted and compiled results were asserted byte-identical \
+         before timing; engine_stats sums counters over all benchmark databases\",\n  \
          \"points\": [\n{points}\n  ],\n  \
          \"engine_stats\": {{\n    \"statements_executed\": {exec},\n    \
          \"parses\": {parses},\n    \"plan_binds\": {binds},\n    \
          \"bound_evals\": {bevals},\n    \"index_scans\": {idx},\n    \
          \"range_scans\": {range_scans},\n    \"full_scans\": {full_scans},\n    \
          \"topk_sorts\": {topk}\n  }}\n}}\n",
-        rows = DB_ROWS,
+        rows = scale.rows,
         cpus = cpus,
         points = points.join(",\n"),
         exec = agg.statements_executed,

@@ -1,20 +1,23 @@
-//! Bound (compiled) scalar expressions.
+//! Bound scalar expressions — the engine's one expression evaluator.
 //!
 //! A [`BoundExpr`] is an [`Expr`](crate::ast::Expr) whose column references
-//! have been resolved to row ordinals once, at plan time, and whose constant
-//! subtrees have been folded. Evaluating one never touches column *names*,
-//! so the per-row cost of the interpreted evaluator's case-insensitive
-//! string scan (`RowSchema::resolve`) disappears from the hot path.
+//! have been resolved to row ordinals once, and whose constant subtrees
+//! have been folded. Every executor binds before it evaluates: compiled
+//! plans bind when they are compiled, and the interpreter
+//! (`exec::select`, `exec::dml`, `exec::ddl`) binds each statement once
+//! per execution against the [`RowSchema`] it holds at that point. Shape
+//! errors — unknown or ambiguous columns, an aggregate where none is
+//! allowed — therefore surface from [`bind`], before any row is
+//! evaluated. Value errors (division by zero, overflow, type errors,
+//! unbound parameters, subquery cardinality) surface from [`eval_bound`]
+//! at the row that raises them.
 //!
-//! Binding is strictly an optimization: evaluation semantics — SQL
-//! three-valued logic, NULL propagation, error messages — are shared with
-//! `expr.rs` through the `apply_*` helpers, and the differential tests in
-//! `tests/plan_cache.rs` hold the two evaluators byte-identical. Constant
-//! folding is conservative for the same reason: a subtree folds only when
-//! every child is already constant, the node is pure (no parameters,
-//! subqueries, or `NEXTVAL`), and folding *succeeds* — a subtree whose
-//! evaluation errors (e.g. `1/0`) is left unfolded so the error still
-//! surfaces at run time, exactly where the interpreter would raise it.
+//! Constant folding is conservative so that binding never moves a value
+//! error: a subtree folds only when every child is already constant, the
+//! node is pure (no parameters, subqueries, or `NEXTVAL`), and folding
+//! *succeeds* — a subtree whose evaluation errors (e.g. `1/0`) is left
+//! unfolded so the error still surfaces at run time, at the row (and
+//! behind the short-circuit) where evaluation reaches it.
 
 use std::collections::HashMap;
 
@@ -150,9 +153,8 @@ impl BoundExpr {
     }
 }
 
-/// Everything a bound expression may need at evaluation time. Unlike
-/// [`EvalCtx`](crate::expr::EvalCtx) there is no schema: positions were
-/// fixed at bind time.
+/// Everything a bound expression may need at evaluation time. There is
+/// no schema: positions were fixed at bind time.
 pub struct BoundCtx<'a> {
     pub catalog: &'a Catalog,
     pub params: &'a [Value],
@@ -161,12 +163,20 @@ pub struct BoundCtx<'a> {
 }
 
 /// Resolve every column reference of `expr` against `schema` and fold
-/// constant subtrees. Errors (unresolvable or ambiguous columns,
-/// aggregates) make the whole statement uncompilable — the caller falls
-/// back to the interpreter, which reports them canonically.
+/// constant subtrees. Errors are the statement's canonical shape errors:
+/// an unresolvable column is `NotFound`, an ambiguous one or an aggregate
+/// call (aggregates are rewritten to slot columns before binding, see
+/// `exec::select::rewrite_aggs`) is `Semantic`. The plan compiler treats
+/// any of them as "decline"; the interpreter reports them.
 pub fn bind(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
-    let bound = bind_inner(expr, schema)?;
-    Ok(bound)
+    bind_inner(expr, schema)
+}
+
+/// Bind `expr` against the empty schema and evaluate it once: for the
+/// row-independent positions — `VALUES` cells, `DEFAULT`, `CALL`
+/// arguments, index-probe keys.
+pub fn bind_eval(expr: &Expr, ctx: &BoundCtx<'_>) -> SqlResult<Value> {
+    eval_bound(&bind(expr, &RowSchema::empty())?, ctx)
 }
 
 fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
@@ -254,7 +264,7 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
         },
         Expr::Function { name, .. } if is_aggregate_name(name) => {
             return Err(SqlError::Semantic(format!(
-                "aggregate {name}() cannot be bound"
+                "aggregate {name}() not allowed here"
             )));
         }
         Expr::Function { name, args, .. } => BoundExpr::Function {
@@ -306,13 +316,13 @@ fn fold(node: BoundExpr) -> BoundExpr {
     if !foldable {
         return node;
     }
-    // A constant subtree needs no catalog, parameters, or row; a throwaway
+    // A constant subtree needs no catalog, parameters, or row; a shared
     // empty catalog satisfies the context. (NEXTVAL — the only
     // catalog-dependent function — was excluded above.)
-    let catalog = Catalog::new();
+    static CATALOG: std::sync::OnceLock<Catalog> = std::sync::OnceLock::new();
     static EMPTY: std::sync::OnceLock<HashMap<String, Value>> = std::sync::OnceLock::new();
     let ctx = BoundCtx {
-        catalog: &catalog,
+        catalog: CATALOG.get_or_init(Catalog::new),
         params: &[],
         named_params: EMPTY.get_or_init(HashMap::new),
         row: None,
@@ -323,7 +333,9 @@ fn fold(node: BoundExpr) -> BoundExpr {
     }
 }
 
-/// Evaluate a bound expression. Mirrors [`crate::expr::eval`] exactly.
+/// Evaluate a bound expression with SQL three-valued logic: `AND`/`OR`
+/// short-circuit on a determined left operand, NULL propagates through
+/// everything else.
 pub fn eval_bound(expr: &BoundExpr, ctx: &BoundCtx<'_>) -> SqlResult<Value> {
     match expr {
         BoundExpr::Const(v) => Ok(v.clone()),
@@ -806,6 +818,232 @@ mod tests {
         let e = parse_expression(src).unwrap();
         bind(&e, &RowSchema::empty()).unwrap()
     }
+
+    fn ctx<'a>(
+        catalog: &'a Catalog,
+        params: &'a [Value],
+        named_params: &'a HashMap<String, Value>,
+    ) -> BoundCtx<'a> {
+        BoundCtx {
+            catalog,
+            params,
+            named_params,
+            row: None,
+        }
+    }
+
+    /// Parse, bind against the empty schema, and evaluate once.
+    fn eval_const(src: &str) -> SqlResult<Value> {
+        let catalog = Catalog::new();
+        let named = HashMap::new();
+        let b = bind(&parse_expression(src)?, &RowSchema::empty())?;
+        eval_bound(&b, &ctx(&catalog, &[], &named))
+    }
+
+    fn v(src: &str) -> Value {
+        eval_const(src).unwrap()
+    }
+
+    // ------------------------------------------------ evaluator semantics
+
+    #[test]
+    fn arithmetic_int_and_float() {
+        assert_eq!(v("1 + 2 * 3"), Value::Int(7));
+        assert_eq!(v("7 / 2"), Value::Int(3));
+        assert_eq!(v("7.0 / 2"), Value::Float(3.5));
+        assert_eq!(v("7 % 3"), Value::Int(1));
+        assert_eq!(v("-(3 - 5)"), Value::Int(2));
+    }
+
+    #[test]
+    fn division_by_zero_errors() {
+        assert_eq!(eval_const("1 / 0").unwrap_err().class(), "runtime");
+        assert_eq!(eval_const("1.0 / 0.0").unwrap_err().class(), "runtime");
+        assert_eq!(eval_const("1 % 0").unwrap_err().class(), "runtime");
+    }
+
+    #[test]
+    fn integer_overflow_detected() {
+        assert_eq!(
+            eval_const("9223372036854775807 + 1").unwrap_err().class(),
+            "runtime"
+        );
+    }
+
+    #[test]
+    fn null_propagates_through_arithmetic() {
+        assert_eq!(v("1 + NULL"), Value::Null);
+        assert_eq!(v("NULL * 0"), Value::Null);
+    }
+
+    #[test]
+    fn three_valued_logic() {
+        assert_eq!(v("TRUE AND NULL"), Value::Null);
+        assert_eq!(v("FALSE AND NULL"), Value::Bool(false));
+        assert_eq!(v("TRUE OR NULL"), Value::Bool(true));
+        assert_eq!(v("FALSE OR NULL"), Value::Null);
+        assert_eq!(v("NOT NULL"), Value::Null);
+    }
+
+    #[test]
+    fn comparisons_with_null_are_unknown() {
+        assert_eq!(v("NULL = NULL"), Value::Null);
+        assert_eq!(v("1 < NULL"), Value::Null);
+        assert_eq!(v("NULL IS NULL"), Value::Bool(true));
+        assert_eq!(v("1 IS NOT NULL"), Value::Bool(true));
+    }
+
+    #[test]
+    fn in_list_null_semantics() {
+        assert_eq!(v("1 IN (1, 2)"), Value::Bool(true));
+        assert_eq!(v("3 IN (1, 2)"), Value::Bool(false));
+        assert_eq!(v("3 IN (1, NULL)"), Value::Null);
+        assert_eq!(v("NULL IN (1, 2)"), Value::Null);
+        assert_eq!(v("3 NOT IN (1, NULL)"), Value::Null);
+        assert_eq!(v("1 NOT IN (2, 3)"), Value::Bool(true));
+    }
+
+    #[test]
+    fn between_and_like() {
+        assert_eq!(v("5 BETWEEN 1 AND 10"), Value::Bool(true));
+        assert_eq!(v("11 BETWEEN 1 AND 10"), Value::Bool(false));
+        assert_eq!(v("5 NOT BETWEEN 1 AND 10"), Value::Bool(false));
+        assert_eq!(v("NULL BETWEEN 1 AND 10"), Value::Null);
+        assert_eq!(v("'widget' LIKE 'w%'"), Value::Bool(true));
+        assert_eq!(v("'widget' LIKE 'w_dget'"), Value::Bool(true));
+        assert_eq!(v("'widget' NOT LIKE '%x%'"), Value::Bool(true));
+        assert_eq!(v("NULL LIKE 'a'"), Value::Null);
+    }
+
+    #[test]
+    fn case_expressions() {
+        assert_eq!(
+            v("CASE WHEN 1 > 2 THEN 'a' WHEN 2 > 1 THEN 'b' ELSE 'c' END"),
+            Value::text("b")
+        );
+        assert_eq!(
+            v("CASE 2 WHEN 1 THEN 'one' WHEN 2 THEN 'two' END"),
+            Value::text("two")
+        );
+        assert_eq!(v("CASE 9 WHEN 1 THEN 'one' END"), Value::Null);
+    }
+
+    #[test]
+    fn concat_operator_and_function() {
+        assert_eq!(v("'a' || 'b' || 1"), Value::text("ab1"));
+        assert_eq!(v("'a' || NULL"), Value::Null);
+        assert_eq!(v("CONCAT('a', NULL, 'b')"), Value::text("ab"));
+    }
+
+    #[test]
+    fn scalar_functions() {
+        assert_eq!(v("UPPER('abc')"), Value::text("ABC"));
+        assert_eq!(v("LOWER('ABC')"), Value::text("abc"));
+        assert_eq!(v("LENGTH('héllo')"), Value::Int(5));
+        assert_eq!(v("ABS(-4)"), Value::Int(4));
+        assert_eq!(v("ABS(-4.5)"), Value::Float(4.5));
+        assert_eq!(v("COALESCE(NULL, NULL, 3)"), Value::Int(3));
+        assert_eq!(v("NULLIF(1, 1)"), Value::Null);
+        assert_eq!(v("NULLIF(1, 2)"), Value::Int(1));
+        assert_eq!(v("SUBSTR('workflow', 5)"), Value::text("flow"));
+        assert_eq!(v("SUBSTR('workflow', 1, 4)"), Value::text("work"));
+        assert_eq!(v("REPLACE('a-b-c', '-', '+')"), Value::text("a+b+c"));
+        assert_eq!(v("TRIM('  x ')"), Value::text("x"));
+        assert_eq!(v("ROUND(2.6)"), Value::Int(3));
+        assert_eq!(v("ROUND(2.345, 2)"), Value::Float(2.35));
+        assert_eq!(v("FLOOR(2.9)"), Value::Int(2));
+        assert_eq!(v("CEIL(2.1)"), Value::Int(3));
+        assert_eq!(v("MOD(10, 3)"), Value::Int(1));
+    }
+
+    #[test]
+    fn unknown_function_errors() {
+        assert_eq!(
+            eval_const("FROBNICATE(1)").unwrap_err().class(),
+            "not_found"
+        );
+    }
+
+    #[test]
+    fn wrong_arity_errors() {
+        assert_eq!(eval_const("UPPER()").unwrap_err().class(), "semantic");
+        assert_eq!(
+            eval_const("UPPER('a', 'b')").unwrap_err().class(),
+            "semantic"
+        );
+    }
+
+    #[test]
+    fn nextval_advances_sequence() {
+        let mut catalog = Catalog::new();
+        catalog
+            .add_sequence(crate::catalog::Sequence::new("s", 7, 1))
+            .unwrap();
+        let named = HashMap::new();
+        let b = bind_const("NEXTVAL('s')");
+        let ctx = ctx(&catalog, &[], &named);
+        assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::Int(7));
+        assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::Int(8));
+    }
+
+    #[test]
+    fn host_params_bind_positionally() {
+        let catalog = Catalog::new();
+        let named = HashMap::new();
+        let params = vec![Value::Int(2), Value::Int(40)];
+        let b = bind_const("? + ?");
+        let ctx = ctx(&catalog, &params, &named);
+        assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::Int(42));
+    }
+
+    #[test]
+    fn missing_param_is_binding_error() {
+        let catalog = Catalog::new();
+        let named = HashMap::new();
+        let b = bind_const("?");
+        let ctx = ctx(&catalog, &[], &named);
+        assert_eq!(eval_bound(&b, &ctx).unwrap_err().class(), "binding");
+    }
+
+    #[test]
+    fn named_params_resolve_case_insensitively() {
+        let catalog = Catalog::new();
+        let mut named = HashMap::new();
+        named.insert("item".to_string(), Value::text("widget"));
+        let b = bind_const(":Item");
+        let ctx = ctx(&catalog, &[], &named);
+        assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::text("widget"));
+    }
+
+    #[test]
+    fn column_reference_against_row() {
+        let catalog = Catalog::new();
+        let named = HashMap::new();
+        let schema = RowSchema::new(vec![(Some("t".into()), "a".into())]);
+        let row = vec![Value::Int(5)];
+        let b = bind(&parse_expression("t.a * 2").unwrap(), &schema).unwrap();
+        let ctx = BoundCtx {
+            row: Some(&row),
+            ..ctx(&catalog, &[], &named)
+        };
+        assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::Int(10));
+    }
+
+    #[test]
+    fn aggregate_outside_group_context_errors() {
+        assert_eq!(eval_const("SUM(1)").unwrap_err().class(), "semantic");
+    }
+
+    #[test]
+    fn predicate_null_is_false() {
+        let catalog = Catalog::new();
+        let named = HashMap::new();
+        let ctx = ctx(&catalog, &[], &named);
+        assert!(!eval_bound_predicate(&bind_const("NULL = 1"), &ctx).unwrap());
+        assert!(eval_bound_predicate(&bind_const("1 + 1"), &ctx).is_err());
+    }
+
+    // ---------------------------------------------------------- binding
 
     #[test]
     fn literals_and_pure_subtrees_fold() {

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
+use crate::exec::dml::{self, DmlPlan};
 use crate::fault::{crashed_error, CrashPoint, FaultInjector, FaultPlan, PrepareCrash};
 use crate::pager::{self, FilePageStore, PageStore, PagedEngine};
 use crate::parser::{parse_script, parse_statement};
@@ -176,7 +177,10 @@ pub struct DbStats {
     pub range_scans: u64,
     /// Statements compiled to a bound plan (re-binds after DDL included).
     pub plan_binds: u64,
-    /// Bound-expression evaluations performed by compiled plans.
+    /// Bound-expression evaluations counted by the compiled executors
+    /// and by every `UPDATE`/`DELETE` (compiled or interpreted, which
+    /// share one set of row loops). Interpreted `SELECT`s and `INSERT`s
+    /// evaluate bound expressions too but do not count here.
     pub bound_evals: u64,
     /// `ORDER BY … LIMIT` sorts served by the bounded top-K heap.
     pub topk_sorts: u64,
@@ -389,12 +393,6 @@ struct DbInner {
     /// Commits since the last auto-GC sweep (see `maybe_gc`).
     commits_since_gc: AtomicU64,
     gc_due: AtomicBool,
-    /// Benchmark A/B knob: `true` restores the PR 5 lock shape (WAL
-    /// append under the statement-long exclusive table guard) on the
-    /// fast write paths. Data stays fully versioned either way — only
-    /// the contention profile changes. Set before the workload, not
-    /// mid-flight.
-    legacy_locking: AtomicBool,
 }
 
 /// A named in-memory database. Cloning is cheap (`Arc`); all clones see
@@ -452,7 +450,6 @@ impl Database {
                 snapshot_counter: AtomicU64::new(0),
                 commits_since_gc: AtomicU64::new(0),
                 gc_due: AtomicBool::new(false),
-                legacy_locking: AtomicBool::new(false),
             }),
         }
     }
@@ -858,17 +855,6 @@ impl Database {
         let floor = self.inner.mvcc.floor.load(Ordering::Acquire);
         let catalog = self.inner.catalog.read();
         catalog.gc_tables(floor);
-    }
-
-    /// Restore the PR 5 lock shape (WAL append under the statement-long
-    /// exclusive table guard) on the fast write paths — a benchmark A/B
-    /// knob. Rows stay versioned either way; only contention changes.
-    pub fn set_legacy_locking(&self, on: bool) {
-        self.inner.legacy_locking.store(on, Ordering::Release);
-    }
-
-    fn legacy_locking(&self) -> bool {
-        self.inner.legacy_locking.load(Ordering::Acquire)
     }
 
     /// Fetch (or parse and cache) the plan for one statement text.
@@ -1554,35 +1540,11 @@ impl Connection {
             let mut table = catalog.table_mut(&table_name)?;
             let mut scratch = UndoLog::with_stamp(ctx.stamp());
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // One bind for the whole batch.
+                let plan = DmlPlan::bind(&table, &cached.stmt)?;
                 let mut total = 0;
                 for params in param_sets {
-                    total += match &cached.stmt {
-                        Statement::Insert(s) => crate::exec::dml::run_insert_on(
-                            &catalog,
-                            &mut table,
-                            s,
-                            params,
-                            &named,
-                            &mut scratch,
-                        )?,
-                        Statement::Update(s) => crate::exec::dml::run_update_on(
-                            &catalog,
-                            &mut table,
-                            s,
-                            params,
-                            &named,
-                            &mut scratch,
-                        )?,
-                        Statement::Delete(s) => crate::exec::dml::run_delete_on(
-                            &catalog,
-                            &mut table,
-                            s,
-                            params,
-                            &named,
-                            &mut scratch,
-                        )?,
-                        _ => unreachable!("verb checked above"),
-                    };
+                    total += plan.run_on(&catalog, &mut table, params, &named, &mut scratch)?;
                 }
                 Ok(total)
             }))
@@ -1606,20 +1568,10 @@ impl Connection {
         let mut catalog = self.db.inner.catalog.write();
         let mut scratch = UndoLog::with_stamp(ctx.stamp());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let plan = DmlPlan::bind_in(&catalog, &cached.stmt)?;
             let mut total = 0;
             for params in param_sets {
-                total += match &cached.stmt {
-                    Statement::Insert(s) => {
-                        crate::exec::dml::run_insert(&catalog, s, params, &named, &mut scratch)?
-                    }
-                    Statement::Update(s) => {
-                        crate::exec::dml::run_update(&catalog, s, params, &named, &mut scratch)?
-                    }
-                    Statement::Delete(s) => {
-                        crate::exec::dml::run_delete(&catalog, s, params, &named, &mut scratch)?
-                    }
-                    _ => unreachable!("verb checked above"),
-                };
+                total += plan.run(&catalog, params, &named, &mut scratch)?;
             }
             Ok(total)
         }))
@@ -1807,17 +1759,16 @@ impl Connection {
 
     /// Durability + commit phase shared by the fast write paths.
     ///
-    /// Default (MVCC) mode drops the exclusive table guard *before* the
-    /// WAL append and re-derives the after-images under a shared guard:
-    /// the statement's versions are still unstamped — invisible to every
+    /// The exclusive table guard is dropped *before* the WAL append and
+    /// the after-images are re-derived under a shared guard: the
+    /// statement's versions are still unstamped — invisible to every
     /// snapshot — so readers proceed against the pre-statement state
     /// while the append (and any group-commit window) runs. The caller's
     /// per-table statement mutex keeps other writers out, so the rows the
     /// shared guard exposes are exactly what this statement wrote. Only
     /// after the append is acknowledged does the commit stamp (autocommit)
     /// or the enclosing transaction's eventual COMMIT publish the
-    /// versions. Legacy mode keeps the PR 5 shape — append under the
-    /// statement-long exclusive guard — as a benchmark A/B baseline.
+    /// versions.
     ///
     /// On append failure the statement's versions are unwound under a
     /// re-taken exclusive guard and the error is returned; nothing was
@@ -1826,27 +1777,18 @@ impl Connection {
         &self,
         catalog: &Catalog,
         table_name: &str,
-        mut table: crate::sync::TableWriteGuard<'_, Table>,
+        table: crate::sync::TableWriteGuard<'_, Table>,
         scratch: UndoLog,
         ctx: &SnapshotCtx<'_>,
     ) -> SqlResult<()> {
-        if self.db.legacy_locking() {
-            if let Err(e) = self.wal_log_statement_on(catalog, &table, &scratch) {
-                scratch.rollback_on_table(&mut table);
-                self.db.note_rollback();
-                return Err(e);
-            }
-            drop(table);
-        } else {
-            drop(table);
-            let read = catalog.table(table_name)?;
-            if let Err(e) = self.wal_log_statement_on(catalog, &read, &scratch) {
-                drop(read);
-                let mut table = catalog.table_mut(table_name)?;
-                scratch.rollback_on_table(&mut table);
-                self.db.note_rollback();
-                return Err(e);
-            }
+        drop(table);
+        let read = catalog.table(table_name)?;
+        if let Err(e) = self.wal_log_statement_on(catalog, &read, &scratch) {
+            drop(read);
+            let mut table = catalog.table_mut(table_name)?;
+            scratch.rollback_on_table(&mut table);
+            self.db.note_rollback();
+            return Err(e);
         }
         if let Some(txn) = self.txn.borrow_mut().as_mut() {
             txn.absorb(scratch);
@@ -2048,10 +1990,10 @@ impl Connection {
                 let mut table = catalog.table_mut(&ins.table)?;
                 let mut scratch = UndoLog::with_stamp(ctx.stamp());
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::exec::dml::run_insert_on(
+                    dml::run_on(
                         &catalog,
                         &mut table,
-                        ins,
+                        &cached.stmt,
                         params,
                         &named,
                         &mut scratch,

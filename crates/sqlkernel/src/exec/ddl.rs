@@ -3,9 +3,9 @@
 use std::collections::HashMap;
 
 use crate::ast::*;
+use crate::bound::{bind_eval, BoundCtx};
 use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::error::{SqlError, SqlResult};
-use crate::expr::{eval, EvalCtx};
 use crate::schema::{Column, TableSchema};
 use crate::storage::Table;
 use crate::txn::{UndoLog, UndoOp};
@@ -34,8 +34,13 @@ pub fn create_table(
     for c in &stmt.columns {
         let default = match &c.default {
             Some(e) => {
-                let ctx = EvalCtx::constant(catalog, params);
-                let v = eval(e, &ctx)?;
+                let ctx = BoundCtx {
+                    catalog,
+                    params,
+                    named_params: &HashMap::new(),
+                    row: None,
+                };
+                let v = bind_eval(e, &ctx)?;
                 Some(v.coerce(c.ty).map_err(SqlError::Semantic)?)
             }
             None => None,
@@ -302,15 +307,14 @@ pub fn call_procedure(
     // Evaluate arguments in the caller's context.
     let mut bound = HashMap::new();
     {
-        let ctx = EvalCtx {
+        let ctx = BoundCtx {
             catalog,
             params,
             named_params,
             row: None,
-            aggregates: None,
         };
         for (formal, actual) in proc.params.iter().zip(args) {
-            bound.insert(formal.to_ascii_lowercase(), eval(actual, &ctx)?);
+            bound.insert(formal.to_ascii_lowercase(), bind_eval(actual, &ctx)?);
         }
     }
     let mut last_rows = None;

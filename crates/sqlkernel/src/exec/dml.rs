@@ -1,38 +1,153 @@
 //! DML execution: `INSERT`, `UPDATE`, `DELETE`.
 //!
+//! A statement binds once against its target table ([`DmlPlan::bind`])
+//! and then runs any number of times — once per execution, or once per
+//! parameter set of a batch. `UPDATE` and `DELETE` bind into the
+//! compiled [`UpdatePlan`] / [`DeletePlan`] and run through the plan
+//! module's collect/apply loops, so interpreted and compiled DML share
+//! one implementation. `INSERT` binds its `VALUES` cells against the
+//! empty schema.
+//!
 //! Mutations run in two phases: an immutable phase that evaluates
 //! predicates and new values against a snapshot view, then a mutable phase
 //! that applies the collected changes. This sidesteps the Halloween
 //! problem (an `UPDATE` whose predicate matches its own output) and lets
 //! every change record an undo entry for statement atomicity.
 //!
-//! Each runner comes in two flavors. The plain `run_*` functions acquire
-//! the target table's guards themselves (shared for the collect phase —
-//! subqueries may re-read the same table — exclusive for the apply phase)
-//! and rely on the catalog-shape write lock to make the guard gap
-//! invisible. The `run_*_on` variants execute both phases against a guard
-//! the *caller* already holds, which is what the fast path under the
-//! shared catalog-shape lock uses; they are only safe for subquery-free
-//! statements, since a subquery would re-enter the catalog's table map.
+//! [`DmlPlan::run`] acquires the target table's guards itself (shared
+//! for the collect phase — subqueries may re-read the same table —
+//! exclusive for the apply phase) and relies on the catalog-shape write
+//! lock to make the guard gap invisible. [`DmlPlan::run_on`] executes
+//! both phases against a guard the *caller* already holds, which is what
+//! the fast path under the shared catalog-shape lock uses; it is only
+//! safe for subquery-free statements, since a subquery would re-enter
+//! the catalog's table map.
 
 use std::collections::HashMap;
 
 use crate::ast::*;
+use crate::bound::{bind, eval_bound, BoundCtx, BoundExpr};
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
-use crate::expr::{eval, eval_predicate, EvalCtx, RowSchema};
-use crate::storage::{RowId, Table};
+use crate::expr::RowSchema;
+use crate::plan::{
+    bind_delete, bind_update, run_delete_plan, run_delete_plan_on, run_update_plan,
+    run_update_plan_on, DeletePlan, UpdatePlan,
+};
+use crate::storage::Table;
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
 
-/// Phase 1 of an `INSERT`: compute the full rows to insert.
-fn collect_insert(
+/// A bound `INSERT`: target positions plus the bound source.
+pub(crate) struct InsertPlan<'s> {
+    table: &'s str,
+    width: usize,
+    positions: Vec<usize>,
+    source: InsertRows<'s>,
+}
+
+enum InsertRows<'s> {
+    Values(Vec<Vec<BoundExpr>>),
+    Select(&'s SelectStmt),
+}
+
+/// One bound DML statement.
+pub(crate) enum DmlPlan<'s> {
+    Insert(InsertPlan<'s>),
+    Update(UpdatePlan),
+    Delete(DeletePlan),
+}
+
+impl<'s> DmlPlan<'s> {
+    /// [`DmlPlan::bind`] under a shared guard on the target table.
+    pub(crate) fn bind_in(catalog: &Catalog, stmt: &'s Statement) -> SqlResult<DmlPlan<'s>> {
+        let name = match stmt {
+            Statement::Insert(s) => &s.table,
+            Statement::Update(s) => &s.table,
+            Statement::Delete(s) => &s.table,
+            _ => return Err(SqlError::Semantic("not a DML statement".into())),
+        };
+        DmlPlan::bind(&*catalog.table(name)?, stmt)
+    }
+
+    /// Bind `stmt` (an `INSERT`, `UPDATE`, or `DELETE`) against its
+    /// target table. Shape errors — unknown columns, aggregates — surface
+    /// here, before any row is read.
+    pub(crate) fn bind(table: &Table, stmt: &'s Statement) -> SqlResult<DmlPlan<'s>> {
+        match stmt {
+            Statement::Insert(s) => Ok(DmlPlan::Insert(bind_insert(table, s)?)),
+            Statement::Update(s) => Ok(DmlPlan::Update(bind_update(table, s)?)),
+            Statement::Delete(s) => Ok(DmlPlan::Delete(bind_delete(table, s)?)),
+            _ => Err(SqlError::Semantic("not a DML statement".into())),
+        }
+    }
+
+    /// Run both phases, taking the target table's guards per phase.
+    pub(crate) fn run(
+        &self,
+        catalog: &Catalog,
+        params: &[Value],
+        named_params: &HashMap<String, Value>,
+        undo: &mut UndoLog,
+    ) -> SqlResult<usize> {
+        match self {
+            DmlPlan::Insert(p) => {
+                let rows = collect_insert(catalog, p, params, named_params)?;
+                let mut table = catalog.table_mut(p.table)?;
+                apply_insert(catalog, &mut table, rows, undo)
+            }
+            DmlPlan::Update(p) => run_update_plan(catalog, p, params, named_params, undo),
+            DmlPlan::Delete(p) => run_delete_plan(catalog, p, params, named_params, undo),
+        }
+    }
+
+    /// Run both phases against a table guard the caller holds. The
+    /// statement must be subquery-free (and an `INSERT` must be `VALUES`).
+    pub(crate) fn run_on(
+        &self,
+        catalog: &Catalog,
+        table: &mut Table,
+        params: &[Value],
+        named_params: &HashMap<String, Value>,
+        undo: &mut UndoLog,
+    ) -> SqlResult<usize> {
+        match self {
+            DmlPlan::Insert(p) => {
+                let rows = collect_insert(catalog, p, params, named_params)?;
+                apply_insert(catalog, table, rows, undo)
+            }
+            DmlPlan::Update(p) => run_update_plan_on(catalog, table, p, params, named_params, undo),
+            DmlPlan::Delete(p) => run_delete_plan_on(catalog, table, p, params, named_params, undo),
+        }
+    }
+}
+
+/// Bind and execute one DML statement; returns the rows affected.
+pub(crate) fn run(
     catalog: &Catalog,
-    table: &Table,
-    stmt: &InsertStmt,
+    stmt: &Statement,
     params: &[Value],
     named_params: &HashMap<String, Value>,
-) -> SqlResult<Vec<Vec<Value>>> {
+    undo: &mut UndoLog,
+) -> SqlResult<usize> {
+    DmlPlan::bind_in(catalog, stmt)?.run(catalog, params, named_params, undo)
+}
+
+/// Bind and execute one DML statement against a held table guard; see
+/// [`DmlPlan::run_on`].
+pub(crate) fn run_on(
+    catalog: &Catalog,
+    table: &mut Table,
+    stmt: &Statement,
+    params: &[Value],
+    named_params: &HashMap<String, Value>,
+    undo: &mut UndoLog,
+) -> SqlResult<usize> {
+    DmlPlan::bind(table, stmt)?.run_on(catalog, table, params, named_params, undo)
+}
+
+/// Resolve the column list and bind every `VALUES` cell.
+fn bind_insert<'s>(table: &Table, stmt: &'s InsertStmt) -> SqlResult<InsertPlan<'s>> {
     let width = table.schema.columns.len();
 
     // Map provided columns → schema positions.
@@ -53,41 +168,66 @@ fn collect_insert(
         None => (0..width).collect(),
     };
 
-    let source_rows: Vec<Vec<Value>> = match &stmt.source {
+    let source = match &stmt.source {
         InsertSource::Values(rows) => {
-            let ctx = EvalCtx {
+            let empty = RowSchema::empty();
+            InsertRows::Values(
+                rows.iter()
+                    .map(|exprs| exprs.iter().map(|e| bind(e, &empty)).collect())
+                    .collect::<SqlResult<_>>()?,
+            )
+        }
+        InsertSource::Select(sel) => InsertRows::Select(sel),
+    };
+    Ok(InsertPlan {
+        table: &stmt.table,
+        width,
+        positions,
+        source,
+    })
+}
+
+/// Phase 1 of an `INSERT`: compute the full rows to insert.
+fn collect_insert(
+    catalog: &Catalog,
+    plan: &InsertPlan<'_>,
+    params: &[Value],
+    named_params: &HashMap<String, Value>,
+) -> SqlResult<Vec<Vec<Value>>> {
+    let source_rows: Vec<Vec<Value>> = match &plan.source {
+        InsertRows::Values(rows) => {
+            let ctx = BoundCtx {
                 catalog,
                 params,
                 named_params,
                 row: None,
-                aggregates: None,
             };
             let mut out = Vec::with_capacity(rows.len());
             for exprs in rows {
                 let mut row = Vec::with_capacity(exprs.len());
                 for e in exprs {
-                    row.push(eval(e, &ctx)?);
+                    row.push(eval_bound(e, &ctx)?);
                 }
                 out.push(row);
             }
             out
         }
-        InsertSource::Select(sel) => {
+        InsertRows::Select(sel) => {
             super::select::run_select(catalog, sel, params, named_params)?.rows
         }
     };
 
     let mut full_rows = Vec::with_capacity(source_rows.len());
     for src in source_rows {
-        if src.len() != positions.len() {
+        if src.len() != plan.positions.len() {
             return Err(SqlError::Semantic(format!(
                 "INSERT expects {} values per row, got {}",
-                positions.len(),
+                plan.positions.len(),
                 src.len()
             )));
         }
-        let mut row = vec![Value::Null; width];
-        for (v, &pos) in src.into_iter().zip(&positions) {
+        let mut row = vec![Value::Null; plan.width];
+        for (v, &pos) in src.into_iter().zip(&plan.positions) {
             row[pos] = v;
         }
         full_rows.push(row);
@@ -114,235 +254,4 @@ fn apply_insert(
         catalog.fault_row_applied()?;
     }
     Ok(n)
-}
-
-/// Execute an `INSERT`; returns the number of rows inserted.
-pub fn run_insert(
-    catalog: &Catalog,
-    stmt: &InsertStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let rows = {
-        let table = catalog.table(&stmt.table)?;
-        collect_insert(catalog, &table, stmt, params, named_params)?
-    };
-    let mut table = catalog.table_mut(&stmt.table)?;
-    apply_insert(catalog, &mut table, rows, undo)
-}
-
-/// Fast-path `INSERT` against a held table guard. The caller must have
-/// checked that every source expression is subquery-free and that the
-/// source is `VALUES` (an `INSERT ... SELECT` reads other tables).
-pub fn run_insert_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    stmt: &InsertStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let rows = collect_insert(catalog, table, stmt, params, named_params)?;
-    apply_insert(catalog, table, rows, undo)
-}
-
-/// Phase 1 of an `UPDATE`: collect `(row_id, new_row)` pairs.
-fn collect_update(
-    catalog: &Catalog,
-    table: &Table,
-    stmt: &UpdateStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-) -> SqlResult<Vec<(RowId, Vec<Value>)>> {
-    let binding = table.schema.name.clone();
-    let schema = RowSchema::new(
-        table
-            .schema
-            .columns
-            .iter()
-            .map(|c| (Some(binding.clone()), c.name.clone()))
-            .collect(),
-    );
-    let assignments: Vec<(usize, &Expr)> = {
-        let mut out = Vec::with_capacity(stmt.assignments.len());
-        for (col, e) in &stmt.assignments {
-            out.push((table.schema.resolve(col)?, e));
-        }
-        out
-    };
-    let ctx = EvalCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-        aggregates: None,
-    };
-    let mut changes = Vec::new();
-    let mut walked = 0u64;
-    for (id, row) in table.iter() {
-        walked += 1;
-        let rc = ctx.with_row(&schema, row);
-        let hit = match &stmt.where_clause {
-            Some(pred) => eval_predicate(pred, &rc)?,
-            None => true,
-        };
-        if !hit {
-            continue;
-        }
-        let mut new_row = (**row).clone();
-        for (pos, e) in &assignments {
-            new_row[*pos] = eval(e, &rc)?;
-        }
-        changes.push((id, new_row));
-    }
-    catalog.note_full_scan_rows(walked);
-    Ok(changes)
-}
-
-/// Phase 2 of an `UPDATE`: apply under the caller's exclusive guard.
-fn apply_update(
-    catalog: &Catalog,
-    table: &mut Table,
-    changes: Vec<(RowId, Vec<Value>)>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
-    let mut n = 0;
-    for (id, new_row) in changes {
-        let old = table.update(id, new_row)?;
-        undo.record(UndoOp::Update {
-            table: table_name.clone(),
-            row_id: id,
-            old,
-        });
-        n += 1;
-        catalog.fault_row_applied()?;
-    }
-    Ok(n)
-}
-
-/// Execute an `UPDATE`; returns the number of rows changed.
-pub fn run_update(
-    catalog: &Catalog,
-    stmt: &UpdateStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let changes = {
-        let table = catalog.table(&stmt.table)?;
-        collect_update(catalog, &table, stmt, params, named_params)?
-    };
-    let mut table = catalog.table_mut(&stmt.table)?;
-    apply_update(catalog, &mut table, changes, undo)
-}
-
-/// Fast-path `UPDATE` against a held table guard; the caller must have
-/// checked the statement subquery-free.
-pub fn run_update_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    stmt: &UpdateStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let changes = collect_update(catalog, table, stmt, params, named_params)?;
-    apply_update(catalog, table, changes, undo)
-}
-
-/// Phase 1 of a `DELETE`: collect victim row ids.
-fn collect_delete(
-    catalog: &Catalog,
-    table: &Table,
-    stmt: &DeleteStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-) -> SqlResult<Vec<RowId>> {
-    let binding = table.schema.name.clone();
-    let schema = RowSchema::new(
-        table
-            .schema
-            .columns
-            .iter()
-            .map(|c| (Some(binding.clone()), c.name.clone()))
-            .collect(),
-    );
-    let ctx = EvalCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-        aggregates: None,
-    };
-    let mut out = Vec::new();
-    let mut walked = 0u64;
-    for (id, row) in table.iter() {
-        walked += 1;
-        let hit = match &stmt.where_clause {
-            Some(pred) => {
-                let rc = ctx.with_row(&schema, row);
-                eval_predicate(pred, &rc)?
-            }
-            None => true,
-        };
-        if hit {
-            out.push(id);
-        }
-    }
-    catalog.note_full_scan_rows(walked);
-    Ok(out)
-}
-
-/// Phase 2 of a `DELETE`: apply under the caller's exclusive guard.
-fn apply_delete(
-    catalog: &Catalog,
-    table: &mut Table,
-    victims: Vec<RowId>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
-    let mut n = 0;
-    for id in victims {
-        let row = table.delete(id)?;
-        undo.record(UndoOp::Delete {
-            table: table_name.clone(),
-            row_id: id,
-            row,
-        });
-        n += 1;
-        catalog.fault_row_applied()?;
-    }
-    Ok(n)
-}
-
-/// Execute a `DELETE`; returns the number of rows removed.
-pub fn run_delete(
-    catalog: &Catalog,
-    stmt: &DeleteStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let victims = {
-        let table = catalog.table(&stmt.table)?;
-        collect_delete(catalog, &table, stmt, params, named_params)?
-    };
-    let mut table = catalog.table_mut(&stmt.table)?;
-    apply_delete(catalog, &mut table, victims, undo)
-}
-
-/// Fast-path `DELETE` against a held table guard; the caller must have
-/// checked the statement subquery-free.
-pub fn run_delete_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    stmt: &DeleteStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let victims = collect_delete(catalog, table, stmt, params, named_params)?;
-    apply_delete(catalog, table, victims, undo)
 }

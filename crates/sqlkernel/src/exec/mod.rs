@@ -34,16 +34,8 @@ pub fn execute(
             let rs = select::run_select(catalog, s, params, named_params)?;
             Ok(StatementResult::Rows(rs))
         }
-        Statement::Insert(s) => {
-            let n = dml::run_insert(catalog, s, params, named_params, undo)?;
-            Ok(StatementResult::Affected(n))
-        }
-        Statement::Update(s) => {
-            let n = dml::run_update(catalog, s, params, named_params, undo)?;
-            Ok(StatementResult::Affected(n))
-        }
-        Statement::Delete(s) => {
-            let n = dml::run_delete(catalog, s, params, named_params, undo)?;
+        Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+            let n = dml::run(catalog, stmt, params, named_params, undo)?;
             Ok(StatementResult::Affected(n))
         }
         Statement::CreateTable(s) => {

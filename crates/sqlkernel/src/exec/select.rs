@@ -1,28 +1,32 @@
 //! `SELECT` execution: scan → join → filter → group/aggregate → project →
 //! distinct → order → limit.
 //!
-//! The executor is a straightforward materializing pipeline. Joins use a
-//! hash join whenever the `ON` clause contains at least one pure
-//! left-column = right-column equality; remaining conjuncts become a
-//! residual filter. Grouped aggregation hashes on the `GROUP BY` key
-//! values and pre-computes every aggregate call site, which the shared
-//! expression evaluator then reads back by key.
+//! The executor is a straightforward materializing pipeline, and the
+//! reference the compiled executors are held to for access path and
+//! emission order. It evaluates through the same bound expressions as
+//! they do: once the FROM output's [`RowSchema`] is known, every row
+//! expression of the statement is bound against it in one pass
+//! ([`bind_select`]), so shape errors surface before any row is
+//! evaluated. Joins use a hash join whenever the `ON` clause contains at
+//! least one pure left-column = right-column equality; remaining
+//! conjuncts become a residual filter. Grouped aggregation hashes on the
+//! `GROUP BY` key values and materializes one *virtual row* per group —
+//! the representative source row followed by one slot per aggregate call
+//! site, under the [`AGG_BINDING`] binding — which is the representation
+//! the compiled hash aggregator uses too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::*;
+use crate::bound::{bind, bind_eval, eval_bound, eval_bound_predicate, BoundCtx, BoundExpr};
 use crate::catalog::Catalog;
 use crate::db::QueryResult;
 use crate::error::{SqlError, SqlResult};
-use crate::expr::{aggregate_key, eval, eval_predicate, is_aggregate_name, EvalCtx, RowSchema};
+use crate::expr::{aggregate_key, is_aggregate_name, RowSchema};
+use crate::plan::{bound_usize, BoundAggSpec, Evals, OrderKey, AGG_BINDING};
 use crate::storage::Row;
 use crate::types::Value;
-
-/// One logical row to project: the source row plus its pre-computed
-/// aggregate values (grouped queries only). The source row is shared with
-/// the pipeline input, so grouping never deep-copies row data.
-type GroupedRow = (Arc<Row>, Option<HashMap<String, Value>>);
 
 /// A materialized intermediate row set. Rows are `Arc`-shared: a base
 /// table scan hands out pointers to stored rows, and derived rows (joins,
@@ -44,30 +48,19 @@ pub fn run_select(
         return run_union(catalog, stmt, params, named_params);
     }
 
-    let ctx = EvalCtx {
+    let ctx = BoundCtx {
         catalog,
         params,
         named_params,
         row: None,
-        aggregates: None,
     };
-
-    // OFFSET / LIMIT are row-independent: evaluate them exactly once per
-    // statement, up front. Negative values are rejected here.
-    let offset = match &stmt.offset {
-        Some(e) => Some(const_usize(e, &ctx, "OFFSET")?),
-        None => None,
-    };
-    let limit = match &stmt.limit {
-        Some(e) => Some(const_usize(e, &ctx, "LIMIT")?),
-        None => None,
-    };
+    let (offset, limit) = offset_limit(stmt, &ctx)?;
 
     // 1. FROM — with an index fast path (point lookup or range walk) for
     //    single-table statements. A range walk emits rows in key order
     //    and reports that order, letting an ORDER BY over the same column
     //    skip the sort below.
-    let (mut input, index_order) = match &stmt.from {
+    let (input, index_order) = match &stmt.from {
         Some(from) if from.joins.is_empty() => {
             match try_index_scan(
                 catalog,
@@ -90,84 +83,45 @@ pub fn run_select(
         ),
     };
 
+    // Bind every row expression once, against the FROM output.
+    if stmt
+        .where_clause
+        .as_ref()
+        .is_some_and(Expr::contains_aggregate)
+    {
+        return Err(SqlError::Semantic(
+            "aggregates are not allowed in WHERE".into(),
+        ));
+    }
+    let bound = bind_select(stmt, &input.schema)?;
+
     // 2. WHERE
-    if let Some(pred) = &stmt.where_clause {
-        if pred.contains_aggregate() {
-            return Err(SqlError::Semantic(
-                "aggregates are not allowed in WHERE".into(),
-            ));
-        }
-        let mut kept = Vec::with_capacity(input.rows.len());
-        for row in input.rows {
-            let rc = ctx.with_row(&input.schema, &row);
-            if eval_predicate(pred, &rc)? {
-                kept.push(row);
-            }
-        }
-        input.rows = kept;
+    let mut rows = input.rows;
+    if let Some(pred) = &bound.filter {
+        rows = filter_rows(rows, pred, &ctx)?;
     }
 
-    // 3. GROUP BY / aggregates
-    let needs_grouping = !stmt.group_by.is_empty()
-        || stmt.projections.iter().any(|p| match p {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || stmt.order_by.iter().any(|o| o.expr.contains_aggregate());
-
-    // Each logical row to project: (source row, optional aggregate map).
-    let groups: Vec<GroupedRow> = if needs_grouping {
-        group_rows(stmt, &input, &ctx)?
-    } else {
-        input.rows.iter().cloned().map(|r| (r, None)).collect()
-    };
+    // 3. GROUP BY / aggregates: one virtual row per group.
+    if let Some(grouping) = &bound.grouping {
+        rows = group_rows(grouping, &rows, input.schema.len(), &ctx)?;
+    }
 
     // 3b. HAVING
-    let groups: Vec<GroupedRow> = if let Some(having) = &stmt.having {
-        let mut kept = Vec::new();
-        for (row, aggs) in groups {
-            let rc = EvalCtx {
-                catalog,
-                params,
-                named_params,
-                row: Some((&input.schema, &row)),
-                aggregates: aggs.as_ref(),
-            };
-            if eval_predicate(having, &rc)? {
-                kept.push((row, aggs));
-            }
-        }
-        kept
-    } else {
-        groups
-    };
+    if let Some(having) = &bound.having {
+        rows = filter_rows(rows, having, &ctx)?;
+    }
 
     // 4. Projection (also computes ORDER BY keys against source rows).
-    let (columns, proj_exprs) = projection_plan(stmt, &input.schema)?;
-
     // Did an index range walk already emit rows in ORDER BY order?
-    let order_served = !needs_grouping
-        && stmt.order_by.len() == 1
-        && index_order.is_some_and(|(col, rev)| {
-            stmt.order_by[0].desc == rev
-                && order_targets_column(
-                    &stmt.order_by[0].expr,
-                    &columns,
-                    &proj_exprs,
-                    &input.schema,
-                    col,
-                )
-        });
+    let order_served = bound.order_served(stmt, &input.schema, index_order);
 
     // Limit pushdown: once WHERE/HAVING/grouping have run, nothing below
     // drops or reorders rows when the scan already serves the ORDER BY
     // (and DISTINCT is absent), so only the first OFFSET+LIMIT candidates
     // can reach the output.
-    let mut groups = groups;
     if order_served && !stmt.distinct {
         if let Some(n) = limit {
-            groups.truncate(n.saturating_add(offset.unwrap_or(0)));
+            rows.truncate(n.saturating_add(offset.unwrap_or(0)));
         }
     }
 
@@ -186,22 +140,22 @@ pub fn run_select(
         _ => None,
     };
 
-    let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(groups.len());
-    for (seq, (row, aggs)) in groups.iter().enumerate() {
-        let rc = EvalCtx {
-            catalog,
-            params,
-            named_params,
-            row: Some((&input.schema, row)),
-            aggregates: aggs.as_ref(),
+    let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
+    for (seq, row) in rows.iter().enumerate() {
+        let rc = BoundCtx {
+            row: Some(row),
+            ..ctx
         };
-        let mut out = Vec::with_capacity(proj_exprs.len());
-        for e in &proj_exprs {
-            out.push(eval(e, &rc)?);
+        let mut out = Vec::with_capacity(bound.projections.len());
+        for e in &bound.projections {
+            out.push(eval_bound(e, &rc)?);
         }
-        let mut keys = Vec::with_capacity(stmt.order_by.len());
-        for item in &stmt.order_by {
-            keys.push(order_key(&item.expr, &columns, &out, &rc)?);
+        let mut keys = Vec::with_capacity(bound.order.len());
+        for (key, _) in &bound.order {
+            keys.push(match key {
+                OrderKey::Output(i) => out[*i].clone(),
+                OrderKey::Row(e) => eval_bound(e, &rc)?,
+            });
         }
         match &mut topk {
             Some(t) => t.push(keys, seq, out),
@@ -234,7 +188,45 @@ pub fn run_select(
         rows.truncate(n);
     }
 
-    Ok(QueryResult { columns, rows })
+    Ok(QueryResult {
+        columns: bound.columns,
+        rows,
+    })
+}
+
+/// Keep the rows on which `pred` holds (NULL and FALSE both drop).
+fn filter_rows(
+    rows: Vec<Arc<Row>>,
+    pred: &BoundExpr,
+    ctx: &BoundCtx<'_>,
+) -> SqlResult<Vec<Arc<Row>>> {
+    let mut kept = Vec::with_capacity(rows.len());
+    for row in rows {
+        let rc = BoundCtx {
+            row: Some(&row),
+            ..*ctx
+        };
+        if eval_bound_predicate(pred, &rc)? {
+            kept.push(row);
+        }
+    }
+    Ok(kept)
+}
+
+/// OFFSET / LIMIT are row-independent: bind and evaluate them exactly
+/// once per statement, up front. Negative values are rejected here.
+fn offset_limit(
+    stmt: &SelectStmt,
+    ctx: &BoundCtx<'_>,
+) -> SqlResult<(Option<usize>, Option<usize>)> {
+    let once = |e: Option<&Expr>, what: &str| -> SqlResult<Option<usize>> {
+        e.map(|e| bound_usize(&bind(e, &RowSchema::empty())?, ctx, &mut Evals(0), what))
+            .transpose()
+    };
+    Ok((
+        once(stmt.offset.as_ref(), "OFFSET")?,
+        once(stmt.limit.as_ref(), "LIMIT")?,
+    ))
 }
 
 /// Execute a select with `UNION` arms: run every core, combine, then
@@ -252,22 +244,13 @@ fn run_union(
     head.limit = None;
     head.offset = None;
 
-    let ctx = EvalCtx {
+    let ctx = BoundCtx {
         catalog,
         params,
         named_params,
         row: None,
-        aggregates: None,
     };
-    // As in `run_select`: evaluate OFFSET / LIMIT exactly once, up front.
-    let offset = match &stmt.offset {
-        Some(e) => Some(const_usize(e, &ctx, "OFFSET")?),
-        None => None,
-    };
-    let limit = match &stmt.limit {
-        Some(e) => Some(const_usize(e, &ctx, "LIMIT")?),
-        None => None,
-    };
+    let (offset, limit) = offset_limit(stmt, &ctx)?;
 
     let mut combined = run_select(catalog, &head, params, named_params)?;
     for arm in &stmt.unions {
@@ -335,49 +318,8 @@ fn run_union(
     Ok(combined)
 }
 
-pub(crate) fn const_usize(e: &Expr, ctx: &EvalCtx<'_>, what: &str) -> SqlResult<usize> {
-    match eval(e, ctx)? {
-        Value::Int(n) if n >= 0 => Ok(n as usize),
-        other => Err(SqlError::Semantic(format!(
-            "{what} must be a non-negative integer, got {other:?}"
-        ))),
-    }
-}
-
-/// Compute one ORDER BY sort key. Resolution order: ordinal literal →
-/// output alias → source-row expression.
-fn order_key(
-    expr: &Expr,
-    out_columns: &[String],
-    out_row: &[Value],
-    rc: &EvalCtx<'_>,
-) -> SqlResult<Value> {
-    if let Expr::Literal(Value::Int(n)) = expr {
-        let i = *n;
-        if i >= 1 && (i as usize) <= out_row.len() {
-            return Ok(out_row[i as usize - 1].clone());
-        }
-        return Err(SqlError::Semantic(format!(
-            "ORDER BY ordinal {i} out of range"
-        )));
-    }
-    if let Expr::Column { table: None, name } = expr {
-        if let Some(i) = out_columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(name))
-        {
-            return Ok(out_row[i].clone());
-        }
-    }
-    eval(expr, rc)
-}
-
 /// Expand the projection list into output column names + expressions.
-/// Shared with the plan compiler, which binds the expanded expressions.
-pub(crate) fn projection_plan(
-    stmt: &SelectStmt,
-    schema: &RowSchema,
-) -> SqlResult<(Vec<String>, Vec<Expr>)> {
+fn projection_plan(stmt: &SelectStmt, schema: &RowSchema) -> SqlResult<(Vec<String>, Vec<Expr>)> {
     let mut columns = Vec::new();
     let mut exprs = Vec::new();
     for item in &stmt.projections {
@@ -446,7 +388,7 @@ fn try_index_scan(
     from: &FromClause,
     where_clause: Option<&Expr>,
     order_by: &[OrderItem],
-    ctx: &EvalCtx<'_>,
+    ctx: &BoundCtx<'_>,
 ) -> SqlResult<Option<ServedScan>> {
     let TableSource::Named(name) = &from.base.source else {
         return Ok(None);
@@ -479,7 +421,7 @@ fn try_index_scan(
     // Equality probe first: a point lookup beats any range walk.
     if let Some((col, value_expr)) = find_eq_candidate(&conjuncts, &binding, &table) {
         let index = table.find_index(&[col]).expect("candidate implies index");
-        let key = eval(value_expr, ctx)?;
+        let key = bind_eval(value_expr, ctx)?;
         catalog.note_index_scan();
         // `col = NULL` is never true.
         let rows: Vec<Arc<Row>> = if key.is_null() {
@@ -502,11 +444,11 @@ fn try_index_scan(
             .find_index(&[spec.col])
             .expect("candidate implies index");
         let lower = match &spec.lower {
-            Some((e, inc)) => Some((eval(e, ctx)?, *inc)),
+            Some((e, inc)) => Some((bind_eval(e, ctx)?, *inc)),
             None => None,
         };
         let upper = match &spec.upper {
-            Some((e, inc)) => Some((eval(e, ctx)?, *inc)),
+            Some((e, inc)) => Some((bind_eval(e, ctx)?, *inc)),
             None => None,
         };
         // Walk backwards when a single-item ORDER BY … DESC targets the
@@ -730,10 +672,10 @@ pub(crate) fn naive_order_hint(
 }
 
 /// Does this ORDER BY item sort by exactly the given source column?
-/// Mirrors [`order_key`]'s resolution order — ordinal literal, then
+/// Mirrors [`bind_select`]'s ORDER BY resolution — ordinal literal, then
 /// output alias, then source expression — so an alias shadowing a source
 /// column is honored.
-pub(crate) fn order_targets_column(
+fn order_targets_column(
     expr: &Expr,
     out_columns: &[String],
     proj_exprs: &[Expr],
@@ -768,7 +710,7 @@ pub(crate) fn order_targets_column(
 /// Does the expression avoid column references and aggregates (i.e. can
 /// it be evaluated once per statement)? Subqueries are conservatively
 /// rejected to keep the fast path cheap to test for.
-pub(crate) fn is_row_independent(e: &Expr) -> bool {
+fn is_row_independent(e: &Expr) -> bool {
     let mut independent = true;
     e.walk(&mut |node| {
         if matches!(
@@ -789,7 +731,7 @@ pub(crate) fn is_row_independent(e: &Expr) -> bool {
     independent
 }
 
-pub(crate) fn resolve_local(
+fn resolve_local(
     binding: &str,
     qualifier: Option<&str>,
     column: &str,
@@ -805,7 +747,7 @@ pub(crate) fn resolve_local(
 
 // ---------------------------------------------------------------- FROM / joins
 
-fn build_from(catalog: &Catalog, from: &FromClause, ctx: &EvalCtx<'_>) -> SqlResult<Rows> {
+fn build_from(catalog: &Catalog, from: &FromClause, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
     let mut left = scan_table_ref(catalog, &from.base, ctx)?;
     for join in &from.joins {
         let right = scan_table_ref(catalog, &join.table, ctx)?;
@@ -814,7 +756,7 @@ fn build_from(catalog: &Catalog, from: &FromClause, ctx: &EvalCtx<'_>) -> SqlRes
     Ok(left)
 }
 
-fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &EvalCtx<'_>) -> SqlResult<Rows> {
+fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
     match &tref.source {
         TableSource::Named(name) => {
             // Views shadow nothing: names are unique across tables and
@@ -934,7 +876,7 @@ pub(crate) fn flatten_and(e: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResult<Rows> {
+fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
     // Combined schema: left columns then right columns.
     let mut schema = left.schema.clone();
     for (b, n) in right.schema.columns() {
@@ -962,6 +904,10 @@ fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResu
                 .as_ref()
                 .expect("parser enforces ON for non-cross joins");
             let (pairs, residual) = split_equi_join(on, &left.schema, &right.schema);
+            let residual: Vec<BoundExpr> = residual
+                .iter()
+                .map(|c| bind(c, &schema))
+                .collect::<SqlResult<_>>()?;
 
             // Track which right rows matched (for RIGHT join padding).
             let mut right_matched = vec![false; right.rows.len()];
@@ -1014,11 +960,14 @@ fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResu
                     let ok = if residual.is_empty() && hash.is_some() {
                         true
                     } else {
-                        let rc = ctx.with_row(&schema, &row);
+                        let rc = BoundCtx {
+                            row: Some(&row),
+                            ..*ctx
+                        };
                         let mut pass = true;
                         // With no equi-pairs the full ON is the residual set.
                         for cond in &residual {
-                            if !eval_predicate(cond, &rc)? {
+                            if !eval_bound_predicate(cond, &rc)? {
                                 pass = false;
                                 break;
                             }
@@ -1054,16 +1003,16 @@ fn join_rows(left: Rows, right: Rows, join: &Join, ctx: &EvalCtx<'_>) -> SqlResu
 
 // ---------------------------------------------------------------- grouping
 
-/// One aggregate call site found in the statement. Shared with the plan
-/// compiler, which lowers each spec into a synthetic virtual-row column.
-pub(crate) struct AggSpec {
-    pub(crate) key: String,
-    pub(crate) name: String,
-    pub(crate) arg: Option<Expr>,
-    pub(crate) distinct: bool,
+/// One aggregate call site found in the statement; [`bind_select`]
+/// lowers each spec into a synthetic virtual-row column.
+struct AggSpec {
+    key: String,
+    name: String,
+    arg: Option<Expr>,
+    distinct: bool,
 }
 
-pub(crate) fn collect_aggregates(stmt: &SelectStmt) -> Vec<AggSpec> {
+fn collect_aggregates(stmt: &SelectStmt) -> Vec<AggSpec> {
     let mut specs: Vec<AggSpec> = Vec::new();
     let mut visit = |e: &Expr| {
         e.walk(&mut |node| {
@@ -1104,17 +1053,301 @@ pub(crate) fn collect_aggregates(stmt: &SelectStmt) -> Vec<AggSpec> {
     specs
 }
 
-fn group_rows(stmt: &SelectStmt, input: &Rows, ctx: &EvalCtx<'_>) -> SqlResult<Vec<GroupedRow>> {
-    let specs = collect_aggregates(stmt);
+/// Does this statement aggregate? Any GROUP BY, or an aggregate call in
+/// the projection, HAVING, or ORDER BY.
+fn needs_grouping(stmt: &SelectStmt) -> bool {
+    !stmt.group_by.is_empty()
+        || stmt.projections.iter().any(|p| match p {
+            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
+            _ => false,
+        })
+        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate())
+        || stmt.order_by.iter().any(|o| o.expr.contains_aggregate())
+}
 
-    // Hash rows into groups by GROUP BY key (single global group if none).
+/// The grouping half of a bound `SELECT`: GROUP BY keys over the source
+/// row, and one aggregate spec per slot of the virtual row.
+pub(crate) struct Grouping {
+    pub(crate) group_by: Vec<BoundExpr>,
+    pub(crate) specs: Vec<BoundAggSpec>,
+}
+
+/// Every row expression of one `SELECT` core, bound against the schema
+/// of its FROM output. Shared by the interpreter, which reports a bind
+/// error, and the plan compiler, which declines on one — so both run
+/// exactly the same bound expressions.
+pub(crate) struct BoundSelect {
+    /// WHERE, over the source row.
+    pub(crate) filter: Option<BoundExpr>,
+    /// `Some` for grouped statements. HAVING, projections and ORDER BY
+    /// keys then see the virtual row: the source row followed by one
+    /// `#agg` slot per aggregate call site.
+    pub(crate) grouping: Option<Grouping>,
+    pub(crate) having: Option<BoundExpr>,
+    pub(crate) columns: Vec<String>,
+    /// The projection list with wildcards expanded, as written.
+    pub(crate) proj_exprs: Vec<Expr>,
+    pub(crate) projections: Vec<BoundExpr>,
+    /// `(key source, descending)` per ORDER BY item.
+    pub(crate) order: Vec<(OrderKey, bool)>,
+}
+
+impl BoundSelect {
+    /// Does a scan that emits rows in `index_order` (`(col, desc)`)
+    /// already serve the ORDER BY? Never for grouped statements.
+    pub(crate) fn order_served(
+        &self,
+        stmt: &SelectStmt,
+        schema: &RowSchema,
+        index_order: Option<(usize, bool)>,
+    ) -> bool {
+        self.grouping.is_none()
+            && stmt.order_by.len() == 1
+            && index_order.is_some_and(|(col, rev)| {
+                stmt.order_by[0].desc == rev
+                    && order_targets_column(
+                        &stmt.order_by[0].expr,
+                        &self.columns,
+                        &self.proj_exprs,
+                        schema,
+                        col,
+                    )
+            })
+    }
+}
+
+/// Bind a `SELECT` core's row expressions against `schema`, in pipeline
+/// order: WHERE, GROUP BY keys, aggregate arguments, HAVING, projection,
+/// ORDER BY. Aggregate call sites are discovered in projection → HAVING
+/// → ORDER BY order and deduplicated by [`aggregate_key`]; slot `i` of
+/// the virtual row holds spec `i`. A nested aggregate or `*` under
+/// anything but COUNT is a bind error.
+///
+/// ORDER BY items resolve as follows: an ordinal literal names an output
+/// column (out of range is an error), a bare name matching an output
+/// alias names that column, and anything else is an expression over the
+/// (virtual) source row.
+pub(crate) fn bind_select(stmt: &SelectStmt, schema: &RowSchema) -> SqlResult<BoundSelect> {
+    let filter = stmt
+        .where_clause
+        .as_ref()
+        .map(|w| bind(w, schema))
+        .transpose()?;
+
+    let mut grouping = None;
+    let mut keys = Vec::new();
+    if needs_grouping(stmt) {
+        let group_by = stmt
+            .group_by
+            .iter()
+            .map(|e| bind(e, schema))
+            .collect::<SqlResult<_>>()?;
+        let mut specs = Vec::new();
+        for s in collect_aggregates(stmt) {
+            let arg = match &s.arg {
+                Some(e) => Some(bind(e, schema)?),
+                None if s.name == "COUNT" => None,
+                None => {
+                    return Err(SqlError::Semantic(format!(
+                        "{}(*) is only valid for COUNT",
+                        s.name
+                    )))
+                }
+            };
+            keys.push(s.key);
+            specs.push(BoundAggSpec {
+                name: s.name,
+                arg,
+                distinct: s.distinct,
+            });
+        }
+        grouping = Some(Grouping { group_by, specs });
+    }
+
+    // Without aggregates the virtual row is the source row itself.
+    let virt_schema;
+    let post_schema = if keys.is_empty() {
+        schema
+    } else {
+        let mut cols = schema.columns().to_vec();
+        cols.extend((0..keys.len()).map(|i| (Some(AGG_BINDING.to_string()), format!("#{i}"))));
+        virt_schema = RowSchema::new(cols);
+        &virt_schema
+    };
+    let bind_post = |e: &Expr| {
+        if keys.is_empty() {
+            bind(e, schema)
+        } else {
+            bind(&rewrite_aggs(e, &keys), post_schema)
+        }
+    };
+
+    let having = stmt.having.as_ref().map(bind_post).transpose()?;
+    let (columns, proj_exprs) = projection_plan(stmt, schema)?;
+    let projections = proj_exprs
+        .iter()
+        .map(bind_post)
+        .collect::<SqlResult<Vec<_>>>()?;
+
+    let mut order = Vec::with_capacity(stmt.order_by.len());
+    for item in &stmt.order_by {
+        let key = match &item.expr {
+            Expr::Literal(Value::Int(n)) => {
+                if *n >= 1 && (*n as usize) <= columns.len() {
+                    OrderKey::Output(*n as usize - 1)
+                } else {
+                    return Err(SqlError::Semantic(format!(
+                        "ORDER BY ordinal {n} out of range"
+                    )));
+                }
+            }
+            Expr::Column { table: None, name } => {
+                match columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+                    Some(i) => OrderKey::Output(i),
+                    None => OrderKey::Row(bind_post(&item.expr)?),
+                }
+            }
+            e => OrderKey::Row(bind_post(e)?),
+        };
+        order.push((key, item.desc));
+    }
+
+    Ok(BoundSelect {
+        filter,
+        grouping,
+        having,
+        columns,
+        proj_exprs,
+        projections,
+        order,
+    })
+}
+
+/// Replace every aggregate call site in `e` with a reference to its
+/// synthetic column (`"#agg"."#<i>"`, where `i` is the spec's slot).
+/// Call sites were deduplicated by [`aggregate_key`], so textually equal
+/// aggregates share a slot. Subqueries are left untouched (their aggregates are their
+/// own; the AST walk that collected specs does not descend either).
+fn rewrite_aggs(e: &Expr, keys: &[String]) -> Expr {
+    if let Expr::Function { name, .. } = e {
+        if is_aggregate_name(name) {
+            let key = aggregate_key(e);
+            let i = keys
+                .iter()
+                .position(|k| *k == key)
+                .expect("every aggregate call site was collected");
+            return Expr::Column {
+                table: Some(AGG_BINDING.to_string()),
+                name: format!("#{i}"),
+            };
+        }
+    }
+    match e {
+        Expr::Literal(_)
+        | Expr::Column { .. }
+        | Expr::Param(_)
+        | Expr::NamedParam(_)
+        | Expr::Exists { .. }
+        | Expr::ScalarSubquery(_) => e.clone(),
+        Expr::Unary { op, expr } => Expr::Unary {
+            op: *op,
+            expr: Box::new(rewrite_aggs(expr, keys)),
+        },
+        Expr::Binary { left, op, right } => Expr::Binary {
+            left: Box::new(rewrite_aggs(left, keys)),
+            op: *op,
+            right: Box::new(rewrite_aggs(right, keys)),
+        },
+        Expr::IsNull { expr, negated } => Expr::IsNull {
+            expr: Box::new(rewrite_aggs(expr, keys)),
+            negated: *negated,
+        },
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => Expr::InList {
+            expr: Box::new(rewrite_aggs(expr, keys)),
+            list: list.iter().map(|x| rewrite_aggs(x, keys)).collect(),
+            negated: *negated,
+        },
+        Expr::InSubquery {
+            expr,
+            subquery,
+            negated,
+        } => Expr::InSubquery {
+            expr: Box::new(rewrite_aggs(expr, keys)),
+            subquery: subquery.clone(),
+            negated: *negated,
+        },
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => Expr::Between {
+            expr: Box::new(rewrite_aggs(expr, keys)),
+            low: Box::new(rewrite_aggs(low, keys)),
+            high: Box::new(rewrite_aggs(high, keys)),
+            negated: *negated,
+        },
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => Expr::Like {
+            expr: Box::new(rewrite_aggs(expr, keys)),
+            pattern: Box::new(rewrite_aggs(pattern, keys)),
+            negated: *negated,
+        },
+        Expr::Case {
+            operand,
+            branches,
+            else_branch,
+        } => Expr::Case {
+            operand: operand.as_ref().map(|o| Box::new(rewrite_aggs(o, keys))),
+            branches: branches
+                .iter()
+                .map(|(w, t)| (rewrite_aggs(w, keys), rewrite_aggs(t, keys)))
+                .collect(),
+            else_branch: else_branch
+                .as_ref()
+                .map(|e| Box::new(rewrite_aggs(e, keys))),
+        },
+        Expr::Function {
+            name,
+            args,
+            distinct,
+            star,
+        } => Expr::Function {
+            name: name.clone(),
+            args: args.iter().map(|a| rewrite_aggs(a, keys)).collect(),
+            distinct: *distinct,
+            star: *star,
+        },
+    }
+}
+
+/// Hash rows into groups by their GROUP BY key (a single global group
+/// if there is none) and materialize one virtual row per group, in
+/// first-seen order: the representative row (first member, or all-NULL
+/// for the empty global group) followed by one slot per aggregate.
+fn group_rows(
+    grouping: &Grouping,
+    rows: &[Arc<Row>],
+    width: usize,
+    ctx: &BoundCtx<'_>,
+) -> SqlResult<Vec<Arc<Row>>> {
     let mut order: Vec<Vec<Value>> = Vec::new();
     let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, row) in input.rows.iter().enumerate() {
-        let rc = ctx.with_row(&input.schema, row);
-        let mut key = Vec::with_capacity(stmt.group_by.len());
-        for g in &stmt.group_by {
-            key.push(eval(g, &rc)?);
+    for (i, row) in rows.iter().enumerate() {
+        let rc = BoundCtx {
+            row: Some(row),
+            ..*ctx
+        };
+        let mut key = Vec::with_capacity(grouping.group_by.len());
+        for g in &grouping.group_by {
+            key.push(eval_bound(g, &rc)?);
         }
         if !groups.contains_key(&key) {
             order.push(key.clone());
@@ -1123,7 +1356,7 @@ fn group_rows(stmt: &SelectStmt, input: &Rows, ctx: &EvalCtx<'_>) -> SqlResult<V
     }
 
     // No rows and no GROUP BY → one empty group (global aggregates).
-    if groups.is_empty() && stmt.group_by.is_empty() {
+    if groups.is_empty() && grouping.group_by.is_empty() {
         order.push(Vec::new());
         groups.insert(Vec::new(), Vec::new());
     }
@@ -1131,40 +1364,37 @@ fn group_rows(stmt: &SelectStmt, input: &Rows, ctx: &EvalCtx<'_>) -> SqlResult<V
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         let members = &groups[&key];
-        let mut aggs = HashMap::new();
-        for spec in &specs {
-            let v = compute_aggregate(spec, members, input, ctx)?;
-            aggs.insert(spec.key.clone(), v);
+        let mut aggs = Vec::with_capacity(grouping.specs.len());
+        for spec in &grouping.specs {
+            aggs.push(compute_aggregate(spec, members, rows, ctx)?);
         }
-        // Representative row: first member, or all-NULL for the empty group.
-        let repr = members
-            .first()
-            .map(|&i| input.rows[i].clone())
-            .unwrap_or_else(|| Arc::new(vec![Value::Null; input.schema.len()]));
-        out.push((repr, Some(aggs)));
+        let mut virt = match members.first() {
+            Some(&i) => (*rows[i]).clone(),
+            None => vec![Value::Null; width],
+        };
+        virt.extend(aggs);
+        out.push(Arc::new(virt));
     }
     Ok(out)
 }
 
 fn compute_aggregate(
-    spec: &AggSpec,
+    spec: &BoundAggSpec,
     members: &[usize],
-    input: &Rows,
-    ctx: &EvalCtx<'_>,
+    rows: &[Arc<Row>],
+    ctx: &BoundCtx<'_>,
 ) -> SqlResult<Value> {
-    // COUNT(*) counts rows directly.
-    if spec.name == "COUNT" && spec.arg.is_none() {
+    // COUNT(*) counts rows directly; binding rejected `*` elsewhere.
+    let Some(arg) = &spec.arg else {
         return Ok(Value::Int(members.len() as i64));
-    }
-    let arg = spec
-        .arg
-        .as_ref()
-        .ok_or_else(|| SqlError::Semantic(format!("{}(*) is only valid for COUNT", spec.name)))?;
-
+    };
     let mut values = Vec::with_capacity(members.len());
     for &i in members {
-        let rc = ctx.with_row(&input.schema, &input.rows[i]);
-        let v = eval(arg, &rc)?;
+        let rc = BoundCtx {
+            row: Some(&rows[i]),
+            ..*ctx
+        };
+        let v = eval_bound(arg, &rc)?;
         if !v.is_null() {
             values.push(v);
         }

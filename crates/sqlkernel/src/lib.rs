@@ -9,8 +9,10 @@
 //!   subqueries in `FROM`), DML (`INSERT`/`UPDATE`/`DELETE`), DDL
 //!   (`CREATE`/`DROP` for tables, indexes, sequences, and stored
 //!   procedures), `CALL`, and transaction control;
-//! * a tree-walking executor with hash joins, grouped aggregation,
-//!   sorting, and secondary index maintenance;
+//! * an interpreting executor with hash joins, grouped aggregation,
+//!   sorting, and secondary index maintenance, plus cached compiled
+//!   plans run batch-at-a-time — both evaluating expressions through
+//!   one bound (ordinal-resolved) evaluator;
 //! * connection-scoped transactions backed by an undo log;
 //! * prepared statements with `?` host parameters — the mechanism all
 //!   three workflow stacks in the paper use to pass scalar process

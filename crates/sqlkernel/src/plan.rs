@@ -1,22 +1,28 @@
 //! Compiled statement plans.
 //!
 //! [`compile`] turns a parsed `SELECT`, `UPDATE`, or `DELETE` into a
-//! [`CompiledPlan`]: column references resolved to row ordinals
-//! ([`BoundExpr`]), constants folded, the access path (point lookup,
-//! range walk, whole-index walk, or full scan) chosen once, and the
+//! [`CompiledPlan`]: the access path (point lookup, range walk,
+//! whole-index walk, or full scan) chosen once, every expression bound
+//! to row ordinals ([`BoundExpr`]) with constants folded, and the
 //! projection / ORDER BY shape fixed. Executing a compiled plan skips
 //! name resolution entirely — the per-row work is ordinal loads and
 //! value operations.
 //!
-//! Compilation is best-effort and *must not change semantics*. Anything
-//! the compiler does not understand — joins, grouping, views, unions,
-//! aggregates, unresolvable names — yields [`CompiledPlan::Unsupported`]
-//! and the caller falls back to the tree-walking interpreter, which
-//! reports errors canonically. Crucially, the compiler chooses the
-//! access path with the *same* helper functions the interpreter uses
-//! (`find_eq_candidate`, `find_range_candidate`, `naive_order_hint`), so
-//! for any statement both executors emit rows in the same order; the
-//! differential tests in `tests/plan_cache.rs` hold them byte-identical.
+//! Compilation is best-effort and *must not change semantics*. The
+//! expressions are bound by the same code the interpreter binds with
+//! (`exec::select::bind_select`, [`bind_update`], [`bind_delete`]), so
+//! both evaluate identical bound trees; what compilation adds is the
+//! batch executor and its access paths. Anything the compiler does not
+//! handle — views, derived tables, unions, subqueries under joins — and
+//! any bind error yields [`CompiledPlan::Unsupported`], and the caller
+//! falls back to the interpreter, which reports errors canonically. The
+//! compiler chooses the access path with the *same* helper functions
+//! the interpreter uses (`find_eq_candidate`, `find_range_candidate`,
+//! `naive_order_hint`), so for any statement both executors emit rows in
+//! the same order; the differential tests in `tests/plan_cache.rs` hold
+//! them byte-identical. Compiled and interpreted `UPDATE`/`DELETE` run
+//! one set of collect/apply loops ([`run_update_plan`],
+//! [`run_delete_plan`] and their `_on` variants).
 //!
 //! Plans are cached per statement, keyed by the catalog's schema
 //! [`epoch`](crate::catalog::Catalog::epoch). Any DDL — including
@@ -36,10 +42,10 @@ use crate::bound::{
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::select::{
-    collect_aggregates, find_eq_candidate, find_range_candidate, flatten_and, naive_order_hint,
-    order_targets_column, projection_plan, split_equi_join,
+    bind_select, find_eq_candidate, find_range_candidate, flatten_and, naive_order_hint,
+    split_equi_join,
 };
-use crate::expr::{aggregate_key, is_aggregate_name, RowSchema};
+use crate::expr::RowSchema;
 use crate::storage::{RowId, Table};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
@@ -128,10 +134,9 @@ pub(crate) enum InputPlan {
     Join(JoinPlan),
 }
 
-/// Where one ORDER BY sort key comes from, resolved at compile time
-/// following the interpreter's rules: ordinal literal → output column;
-/// bare name matching an output alias → output column; anything else →
-/// expression over the source row.
+/// Where one ORDER BY sort key comes from, resolved at bind time: ordinal
+/// literal → output column; bare name matching an output alias → output
+/// column; anything else → expression over the source row.
 #[derive(Debug)]
 pub(crate) enum OrderKey {
     /// The already-projected output value at this position.
@@ -159,10 +164,9 @@ pub struct SelectPlan {
     pub(crate) offset: Option<BoundExpr>,
 }
 
-/// One aggregate call site of an [`AggPlan`], argument pre-bound against
-/// the base row. `arg == None` encodes `COUNT(*)`; lowering declines
-/// `*` under any other aggregate so the interpreter raises its canonical
-/// error.
+/// One aggregate call site, argument pre-bound against the base row.
+/// `arg == None` encodes `COUNT(*)`; binding rejects `*` under any other
+/// aggregate.
 #[derive(Debug)]
 pub(crate) struct BoundAggSpec {
     /// Upper-cased aggregate name (the parser canonicalizes case).
@@ -175,12 +179,12 @@ pub(crate) struct BoundAggSpec {
 /// one-pass hash aggregator in [`crate::exec::batch::run_agg_plan`].
 ///
 /// Aggregate call sites in the projection / HAVING / ORDER BY are
-/// rewritten at compile time into references to *synthetic columns*
+/// rewritten at bind time into references to *synthetic columns*
 /// appended after the base row: the executor materializes one virtual
 /// row per group — representative base row values followed by one slot
 /// per aggregate — and every downstream expression is bound against
-/// that widened schema. This reproduces the interpreter's "pre-computed
-/// aggregates map" semantics with plain ordinal loads.
+/// that widened schema. The interpreter's grouping uses the same virtual
+/// rows, bound by the same `bind_select`.
 #[derive(Debug)]
 pub struct AggPlan {
     pub(crate) input: InputPlan,
@@ -263,8 +267,8 @@ pub enum CompiledPlan {
 }
 
 /// Compile a statement against the current catalog state. Never fails:
-/// anything outside the compilable subset (or that would error at bind
-/// time where the interpreter errors at run time) is `Unsupported`.
+/// anything outside the compilable subset, or that fails to bind, is
+/// `Unsupported`.
 pub fn compile(catalog: &Catalog, stmt: &Statement) -> CompiledPlan {
     match stmt {
         Statement::Select(s) => compile_select(catalog, s).unwrap_or(CompiledPlan::Unsupported),
@@ -286,14 +290,8 @@ fn table_row_schema(table: &Table, binding: &str) -> RowSchema {
     )
 }
 
-fn bind_opt(expr: Option<&crate::ast::Expr>, schema: &RowSchema) -> Option<Option<BoundExpr>> {
-    match expr {
-        Some(e) => match bind(e, schema) {
-            Ok(b) => Some(Some(b)),
-            Err(_) => None,
-        },
-        None => Some(None),
-    }
+fn bind_opt(expr: Option<&Expr>, schema: &RowSchema) -> SqlResult<Option<BoundExpr>> {
+    expr.map(|e| bind(e, schema)).transpose()
 }
 
 /// Choose the access path exactly as the interpreter's `try_index_scan`
@@ -629,308 +627,53 @@ fn compile_join(
     ))
 }
 
-/// Resolve one ORDER BY item the way the interpreter's `order_key`
-/// resolves it: in-range ordinal literal → output column; bare name
-/// matching an output alias → output column; anything else → bound
-/// expression over the (virtual) source row. An out-of-range ordinal
-/// declines compilation — the interpreter only errors when a row
-/// actually reaches the sort.
-fn compile_order_key(
-    item_expr: &Expr,
-    columns: &[String],
-    n_outputs: usize,
-    bind_row: impl Fn(&Expr) -> Option<BoundExpr>,
-) -> Option<OrderKey> {
-    match item_expr {
-        Expr::Literal(Value::Int(n)) => {
-            if *n >= 1 && (*n as usize) <= n_outputs {
-                Some(OrderKey::Output(*n as usize - 1))
-            } else {
-                None
-            }
-        }
-        Expr::Column { table: None, name } => {
-            match columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                Some(i) => Some(OrderKey::Output(i)),
-                None => Some(OrderKey::Row(bind_row(item_expr)?)),
-            }
-        }
-        e => Some(OrderKey::Row(bind_row(e)?)),
-    }
-}
-
 fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPlan> {
-    // The compilable subset: one named base table, no set operations.
+    // The compilable subset: base tables (one, or a join chain), no set
+    // operations.
     if !stmt.unions.is_empty() {
-        return None;
-    }
-    // Grouping machinery — mirror the interpreter's `needs_grouping`
-    // test exactly, then lower through the hash-aggregate path.
-    let needs_grouping = !stmt.group_by.is_empty()
-        || stmt.projections.iter().any(|p| match p {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-        || stmt.having.as_ref().is_some_and(|h| h.contains_aggregate())
-        || stmt.order_by.iter().any(|o| o.expr.contains_aggregate());
-    if needs_grouping {
-        return compile_select_agg(catalog, stmt);
-    }
-    // HAVING without grouping: rare and interpreter-defined; decline.
-    if stmt.having.is_some() {
         return None;
     }
     let from = stmt.from.as_ref()?;
     let (input, schema, index_order) = compile_input(catalog, stmt, from)?;
-
-    // Projection expansion + binding. Aggregates fail `bind`, sending
-    // anything the grouping test above missed to the interpreter.
-    let (columns, proj_exprs) = projection_plan(stmt, &schema).ok()?;
-    let projections: Vec<BoundExpr> = proj_exprs
-        .iter()
-        .map(|e| bind(e, &schema))
-        .collect::<SqlResult<_>>()
-        .ok()?;
-
-    let filter = bind_opt(stmt.where_clause.as_ref(), &schema)?;
-
-    let mut order = Vec::with_capacity(stmt.order_by.len());
-    for item in &stmt.order_by {
-        let key = compile_order_key(&item.expr, &columns, projections.len(), |e| {
-            bind(e, &schema).ok()
-        })?;
-        order.push((key, item.desc));
-    }
-
-    let order_served = stmt.order_by.len() == 1
-        && index_order.is_some_and(|(col, rev)| {
-            stmt.order_by[0].desc == rev
-                && order_targets_column(&stmt.order_by[0].expr, &columns, &proj_exprs, &schema, col)
-        });
+    let bound = bind_select(stmt, &schema).ok()?;
 
     // LIMIT/OFFSET are row-independent; bind against the empty schema.
     let empty = RowSchema::empty();
-    let limit = bind_opt(stmt.limit.as_ref(), &empty)?;
-    let offset = bind_opt(stmt.offset.as_ref(), &empty)?;
+    let limit = bind_opt(stmt.limit.as_ref(), &empty).ok()?;
+    let offset = bind_opt(stmt.offset.as_ref(), &empty).ok()?;
 
+    // Grouped statements run through the hash aggregator. (Access-path
+    // choice is shared with the plain select, so group first-seen order
+    // matches the interpreter's row arrival order.)
+    if let Some(grouping) = bound.grouping {
+        return Some(CompiledPlan::Aggregate(Box::new(AggPlan {
+            input,
+            filter: bound.filter,
+            group_by: grouping.group_by,
+            specs: grouping.specs,
+            base_width: schema.len(),
+            having: bound.having,
+            columns: bound.columns,
+            projections: bound.projections,
+            distinct: stmt.distinct,
+            order: bound.order,
+            limit,
+            offset,
+        })));
+    }
+    // HAVING without grouping: rare and interpreter-defined; decline.
+    if bound.having.is_some() {
+        return None;
+    }
+    let order_served = bound.order_served(stmt, &schema, index_order);
     Some(CompiledPlan::Select(Box::new(SelectPlan {
         input,
-        filter,
-        columns,
-        projections,
+        filter: bound.filter,
+        columns: bound.columns,
+        projections: bound.projections,
         distinct: stmt.distinct,
-        order,
+        order: bound.order,
         order_served,
-        limit,
-        offset,
-    })))
-}
-
-/// Replace every aggregate call site in `e` with a reference to its
-/// synthetic column (`"#agg"."#<i>"`, where `i` is the spec's slot).
-/// Call sites were deduplicated by [`aggregate_key`], so textually equal
-/// aggregates share a slot — exactly the interpreter's pre-computed-map
-/// behavior. Subqueries are left untouched (their aggregates are their
-/// own; the AST walk that collected specs does not descend either).
-fn rewrite_aggs(e: &Expr, keys: &[String]) -> Expr {
-    if let Expr::Function { name, .. } = e {
-        if is_aggregate_name(name) {
-            let key = aggregate_key(e);
-            let i = keys
-                .iter()
-                .position(|k| *k == key)
-                .expect("every aggregate call site was collected");
-            return Expr::Column {
-                table: Some(AGG_BINDING.to_string()),
-                name: format!("#{i}"),
-            };
-        }
-    }
-    match e {
-        Expr::Literal(_)
-        | Expr::Column { .. }
-        | Expr::Param(_)
-        | Expr::NamedParam(_)
-        | Expr::Exists { .. }
-        | Expr::ScalarSubquery(_) => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_aggs(expr, keys)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_aggs(left, keys)),
-            op: *op,
-            right: Box::new(rewrite_aggs(right, keys)),
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_aggs(expr, keys)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rewrite_aggs(expr, keys)),
-            list: list.iter().map(|x| rewrite_aggs(x, keys)).collect(),
-            negated: *negated,
-        },
-        Expr::InSubquery {
-            expr,
-            subquery,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(rewrite_aggs(expr, keys)),
-            subquery: subquery.clone(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rewrite_aggs(expr, keys)),
-            low: Box::new(rewrite_aggs(low, keys)),
-            high: Box::new(rewrite_aggs(high, keys)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rewrite_aggs(expr, keys)),
-            pattern: Box::new(rewrite_aggs(pattern, keys)),
-            negated: *negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(rewrite_aggs(o, keys))),
-            branches: branches
-                .iter()
-                .map(|(w, t)| (rewrite_aggs(w, keys), rewrite_aggs(t, keys)))
-                .collect(),
-            else_branch: else_branch
-                .as_ref()
-                .map(|e| Box::new(rewrite_aggs(e, keys))),
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-            star,
-        } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(|a| rewrite_aggs(a, keys)).collect(),
-            distinct: *distinct,
-            star: *star,
-        },
-    }
-}
-
-/// Lower a grouped/aggregating single-table `SELECT` into an [`AggPlan`].
-/// Declines (→ interpreter) on joins, views, nested aggregates, `*` under
-/// non-COUNT aggregates, unresolvable names, and anything whose canonical
-/// error the interpreter must report.
-fn compile_select_agg(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPlan> {
-    let from = stmt.from.as_ref()?;
-    // Access-path choice (for the single-table case) is shared with the
-    // plain-select compiler so group first-seen order matches the
-    // interpreter's row arrival order. (`order_served` never applies to
-    // grouped queries, so the index-order hint is dropped.)
-    let (input, schema, _) = compile_input(catalog, stmt, from)?;
-
-    // Aggregate call sites, discovered in the interpreter's walk order
-    // (projections, HAVING, ORDER BY; deduplicated by call-site key).
-    let ast_specs = collect_aggregates(stmt);
-    let mut specs = Vec::with_capacity(ast_specs.len());
-    for s in &ast_specs {
-        let arg = match &s.arg {
-            Some(e) => {
-                // Nested aggregates error at runtime in the interpreter;
-                // let it report that canonically.
-                if e.contains_aggregate() {
-                    return None;
-                }
-                Some(bind(e, &schema).ok()?)
-            }
-            None => {
-                // `*` under non-COUNT raises per-group in the
-                // interpreter; decline rather than re-implement it.
-                if s.name != "COUNT" {
-                    return None;
-                }
-                None
-            }
-        };
-        specs.push(BoundAggSpec {
-            name: s.name.clone(),
-            arg,
-            distinct: s.distinct,
-        });
-    }
-    let spec_keys: Vec<String> = ast_specs.into_iter().map(|s| s.key).collect();
-
-    // GROUP BY keys evaluate against the base row. Aggregates inside
-    // GROUP BY fail `bind` here → interpreter's canonical error.
-    let group_by: Vec<BoundExpr> = stmt
-        .group_by
-        .iter()
-        .map(|e| bind(e, &schema))
-        .collect::<SqlResult<_>>()
-        .ok()?;
-
-    // WHERE also sees only the base row (aggregates fail bind →
-    // interpreter raises "aggregates are not allowed in WHERE").
-    let filter = bind_opt(stmt.where_clause.as_ref(), &schema)?;
-
-    // Everything downstream of grouping sees the virtual row: the base
-    // columns followed by one synthetic column per aggregate slot.
-    let mut virt_cols = schema.columns().to_vec();
-    for i in 0..specs.len() {
-        virt_cols.push((Some(AGG_BINDING.to_string()), format!("#{i}")));
-    }
-    let virt_schema = RowSchema::new(virt_cols);
-
-    let (columns, proj_exprs) = projection_plan(stmt, &schema).ok()?;
-    let projections: Vec<BoundExpr> = proj_exprs
-        .iter()
-        .map(|e| bind(&rewrite_aggs(e, &spec_keys), &virt_schema))
-        .collect::<SqlResult<_>>()
-        .ok()?;
-
-    let having = match &stmt.having {
-        Some(h) => Some(bind(&rewrite_aggs(h, &spec_keys), &virt_schema).ok()?),
-        None => None,
-    };
-
-    let mut order = Vec::with_capacity(stmt.order_by.len());
-    for item in &stmt.order_by {
-        let key = compile_order_key(&item.expr, &columns, projections.len(), |e| {
-            bind(&rewrite_aggs(e, &spec_keys), &virt_schema).ok()
-        })?;
-        order.push((key, item.desc));
-    }
-
-    let empty = RowSchema::empty();
-    let limit = bind_opt(stmt.limit.as_ref(), &empty)?;
-    let offset = bind_opt(stmt.offset.as_ref(), &empty)?;
-
-    Some(CompiledPlan::Aggregate(Box::new(AggPlan {
-        input,
-        filter,
-        group_by,
-        specs,
-        base_width: schema.len(),
-        having,
-        columns,
-        projections,
-        distinct: stmt.distinct,
-        order,
         limit,
         offset,
     })))
@@ -938,29 +681,43 @@ fn compile_select_agg(catalog: &Catalog, stmt: &SelectStmt) -> Option<CompiledPl
 
 fn compile_update(catalog: &Catalog, stmt: &UpdateStmt) -> Option<CompiledPlan> {
     let table = catalog.table(&stmt.table).ok()?;
-    // The interpreter binds the scan under the table's declared name.
-    let schema = table_row_schema(&table, &table.schema.name.clone());
-    let mut assignments = Vec::with_capacity(stmt.assignments.len());
-    for (col, e) in &stmt.assignments {
-        let pos = table.schema.resolve(col).ok()?;
-        assignments.push((pos, bind(e, &schema).ok()?));
-    }
-    let filter = bind_opt(stmt.where_clause.as_ref(), &schema)?;
-    Some(CompiledPlan::Update(UpdatePlan {
-        table: stmt.table.clone(),
-        filter,
-        assignments,
-    }))
+    bind_update(&table, stmt).ok().map(CompiledPlan::Update)
 }
 
 fn compile_delete(catalog: &Catalog, stmt: &DeleteStmt) -> Option<CompiledPlan> {
     let table = catalog.table(&stmt.table).ok()?;
-    let schema = table_row_schema(&table, &table.schema.name.clone());
+    bind_delete(&table, stmt).ok().map(CompiledPlan::Delete)
+}
+
+/// Bind an `UPDATE` against its target table: SET columns first, then
+/// the WHERE clause, then the assigned values. Expressions see the scan
+/// under the table's declared name.
+pub(crate) fn bind_update(table: &Table, stmt: &UpdateStmt) -> SqlResult<UpdatePlan> {
+    let schema = table_row_schema(table, &table.schema.name);
+    let positions = stmt
+        .assignments
+        .iter()
+        .map(|(col, _)| table.schema.resolve(col))
+        .collect::<SqlResult<Vec<_>>>()?;
     let filter = bind_opt(stmt.where_clause.as_ref(), &schema)?;
-    Some(CompiledPlan::Delete(DeletePlan {
+    let mut assignments = Vec::with_capacity(positions.len());
+    for (pos, (_, e)) in positions.into_iter().zip(&stmt.assignments) {
+        assignments.push((pos, bind(e, &schema)?));
+    }
+    Ok(UpdatePlan {
         table: stmt.table.clone(),
         filter,
-    }))
+        assignments,
+    })
+}
+
+/// Bind a `DELETE` against its target table.
+pub(crate) fn bind_delete(table: &Table, stmt: &DeleteStmt) -> SqlResult<DeletePlan> {
+    let schema = table_row_schema(table, &table.schema.name);
+    Ok(DeletePlan {
+        table: stmt.table.clone(),
+        filter: bind_opt(stmt.where_clause.as_ref(), &schema)?,
+    })
 }
 
 // ---------------------------------------------------------------- execution
@@ -1063,7 +820,7 @@ fn apply_update(
     Ok(n)
 }
 
-/// Execute a compiled `UPDATE` in the interpreter's two phases: collect
+/// Execute a bound `UPDATE` in two phases: collect
 /// under a shared table guard (subqueries in the filter may re-read this
 /// very table), then apply under the exclusive guard. The guard gap is
 /// harmless: this path runs with the catalog-shape lock held exclusively,
@@ -1167,8 +924,8 @@ fn apply_delete(
     Ok(n)
 }
 
-/// Execute a compiled `DELETE` (two-phase, like the interpreter; see
-/// [`run_update_plan`] for the guard discipline).
+/// Execute a bound `DELETE` in two phases (see [`run_update_plan`] for
+/// the guard discipline).
 pub fn run_delete_plan(
     catalog: &Catalog,
     plan: &DeletePlan,

@@ -10,7 +10,11 @@
 //! corpus. The differential harness drives one database through
 //! `Connection::execute` (compiled plans) and a twin database through
 //! `parse_statement` + `Connection::execute_ast` (the interpreter) and
-//! asserts equal results and equal end states.
+//! asserts equal results and equal end states. Both engines evaluate
+//! the same bound expressions, so for SELECT the corpus pins what
+//! differs — access path, batching, grouping, emission order — and for
+//! UPDATE/DELETE, which share one set of row loops, it pins the cached
+//! plan's fast and exclusive execution paths against the interpreter's.
 
 use sqlkernel::parser::parse_statement;
 use sqlkernel::{Connection, Database, QueryResult, StatementResult, Value};

@@ -2,6 +2,7 @@
 //! spirit of sqllogictest. Each case states the SQL, the expected grid
 //! (as rendered text rows) or the expected error class.
 
+use sqlkernel::parser::parse_statement;
 use sqlkernel::{Database, Value};
 
 /// Run `sql` against a fresh database seeded with `setup`, compare the
@@ -484,4 +485,50 @@ fn comments_anywhere() {
         "SELECT /* block */ n -- tail\n FROM nums WHERE n = 1",
         &["1"],
     );
+}
+
+/// Column names resolve when a statement binds, before any row is
+/// evaluated: an unknown column is `NotFound` on an empty table, and
+/// behind a short-circuit that no row ever gets past, on every entry
+/// point. `execute_batch` takes DML only, so a SELECT rides in as the
+/// source of an `INSERT … SELECT`.
+#[test]
+fn unknown_columns_fail_at_bind_time_on_every_entry_point() {
+    let cases = [
+        ("DELETE FROM t WHERE nosuch = 1", false),
+        ("UPDATE t SET b = nosuch", false),
+        ("SELECT nosuch FROM t", false),
+        ("SELECT a FROM t WHERE FALSE AND nosuch = 1", true),
+    ];
+    for (sql, with_rows) in cases {
+        let db = Database::new("bind_time");
+        let conn = db.connect();
+        conn.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)", &[])
+            .unwrap();
+        if with_rows {
+            conn.execute("INSERT INTO t VALUES (1, 10), (2, 20)", &[])
+                .unwrap();
+        }
+        let batch_sql = if sql.starts_with("SELECT") {
+            format!("INSERT INTO t (a) {sql}")
+        } else {
+            sql.to_string()
+        };
+        let stmt = parse_statement(sql).unwrap();
+        let errors = [
+            ("execute", conn.execute(sql, &[]).err()),
+            ("execute_ast", conn.execute_ast(&stmt, &[]).err()),
+            (
+                "execute_batch",
+                conn.execute_batch(&batch_sql, &[vec![]]).err(),
+            ),
+        ];
+        for (entry, err) in errors {
+            let err = err.unwrap_or_else(|| panic!("{entry}: {sql} must fail"));
+            assert_eq!(err.class(), "not_found", "{entry}: {sql} → {err}");
+        }
+        let rows = conn.query("SELECT COUNT(*) FROM t", &[]).unwrap();
+        let expect = if with_rows { 2 } else { 0 };
+        assert_eq!(rows.rows[0][0], Value::Int(expect), "{sql} wrote rows");
+    }
 }

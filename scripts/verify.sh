@@ -61,6 +61,10 @@ BENCH_SMOKE=1 ./target/release/bench_storage >/dev/null
 # engaged (hash join, index nested loop, pushed predicates) and that
 # compiled join results are byte-identical to the interpreter's.
 BENCH_SMOKE=1 ./target/release/bench_joins >/dev/null
+# bench_plan's smoke asserts in-process that every query's interpreted
+# (execute_ast) and compiled (execute) results are byte-identical, and
+# that the range-scan and top-K access paths engaged.
+BENCH_SMOKE=1 ./target/release/bench_plan >/dev/null
 
 # The running-example instance benchmark is a package of its own (empty
 # [workspace]), so --workspace above does not reach it. Its smoke tests

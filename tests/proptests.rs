@@ -6,6 +6,10 @@
 //! hermetically). Each test runs `CASES` generated inputs and reports
 //! the case index on failure so a seed can be replayed exactly.
 
+use std::collections::HashMap;
+
+use flowsql::sqlkernel::bound;
+use flowsql::sqlkernel::expr::RowSchema;
 use flowsql::sqlkernel::{DataType, Database, QueryResult, Value};
 use flowsql::wf::{DataAdapter, DataTable};
 use flowsql::xmlval::{self, rowset, Path, XmlNode};
@@ -195,9 +199,16 @@ fn sql_literal_round_trips_through_parser() {
         let v = gen_value(&mut rng);
         let lit = v.to_sql_literal();
         let expr = flowsql::sqlkernel::parser::parse_expression(&lit).unwrap();
+        let bound = bound::bind(&expr, &RowSchema::empty()).unwrap();
         let catalog = flowsql::sqlkernel::catalog::Catalog::new();
-        let ctx = flowsql::sqlkernel::expr::EvalCtx::constant(&catalog, &[]);
-        let back = flowsql::sqlkernel::expr::eval(&expr, &ctx).unwrap();
+        let named = HashMap::new();
+        let ctx = bound::BoundCtx {
+            catalog: &catalog,
+            params: &[],
+            named_params: &named,
+            row: None,
+        };
+        let back = bound::eval_bound(&bound, &ctx).unwrap();
         match (&v, &back) {
             (Value::Float(a), Value::Float(b)) => {
                 assert!((a - b).abs() <= a.abs() * 1e-12, "case {case}: {a} vs {b}")
