@@ -11,6 +11,10 @@
 //!   *recover* when statements actually fail? Every operation still
 //!   completes (the workload never loses a statement); the throughput
 //!   row records what the faults and backoff cost.
+//!
+//! `BENCH_SMOKE=1` runs a short workload once per rate, skips the JSON
+//! write, and asserts that every operation completed and that faults
+//! actually fired at 1% and 10%.
 
 use std::time::Instant;
 
@@ -21,6 +25,7 @@ use sqlkernel::{Database, Value};
 
 const OPS: usize = 20_000;
 const REPS: usize = 3;
+const SMOKE_OPS: usize = 2_000;
 const SEED: u64 = 20260807;
 
 fn workload_db(name: &str) -> Database {
@@ -31,14 +36,15 @@ fn workload_db(name: &str) -> Database {
     db
 }
 
-/// Run `OPS` retry-wrapped statements (alternating INSERT and the
-/// re-read of the row just written); returns the best-of-`REPS`
-/// elapsed seconds and the retry count of the last rep.
-fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
+/// Run `ops` retry-wrapped statements (alternating INSERT and the
+/// re-read of the row just written); returns the best-of-`reps`
+/// elapsed seconds and the retry and fault counts of the last rep.
+/// Every statement must complete: a rep ends holding all its inserts.
+fn measure(ops: usize, reps: usize, rate: f64, with_plan: bool) -> (f64, u64, u64) {
     let mut best = f64::MAX;
     let mut retries = 0;
     let mut faults = 0;
-    for rep in 0..REPS {
+    for rep in 0..reps {
         let db = workload_db("faults");
         if with_plan {
             db.set_fault_plan(Some(FaultPlan::new(SEED + rep as u64).transient_rate(rate)));
@@ -58,7 +64,7 @@ fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
         let insert = "INSERT INTO log VALUES (?, 'x')";
         let read = "SELECT v FROM log WHERE id = ?";
         let start = Instant::now();
-        for i in 0..OPS {
+        for i in 0..ops {
             let (sql, n) = if i % 2 == 0 {
                 (insert, i as i64)
             } else {
@@ -73,6 +79,11 @@ fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
         }
         let elapsed = start.elapsed().as_secs_f64();
         best = best.min(elapsed);
+        assert_eq!(
+            db.table_len("log").unwrap(),
+            ops.div_ceil(2),
+            "lost inserts"
+        );
         let stats = db.stats();
         retries = stats.retries;
         faults = stats.faults_injected;
@@ -81,15 +92,20 @@ fn measure(rate: f64, with_plan: bool) -> (f64, u64, u64) {
 }
 
 fn main() {
-    let (t_none, _, _) = measure(0.0, false);
-    let base_ops_per_sec = OPS as f64 / t_none;
+    let smoke = std::env::var("BENCH_SMOKE").is_ok();
+    let (ops, reps) = if smoke { (SMOKE_OPS, 1) } else { (OPS, REPS) };
+    let (t_none, _, _) = measure(ops, reps, 0.0, false);
+    let base_ops_per_sec = ops as f64 / t_none;
     eprintln!("no injector: {base_ops_per_sec:>10.0} stmts/s");
 
     let mut points = Vec::new();
     let mut overhead_0 = 0.0f64;
     for rate in [0.0f64, 0.01, 0.10] {
-        let (t, retries, faults) = measure(rate, true);
-        let ops_per_sec = OPS as f64 / t;
+        let (t, retries, faults) = measure(ops, reps, rate, true);
+        if rate > 0.0 {
+            assert!(faults > 0, "no faults fired at {}%", rate * 100.0);
+        }
+        let ops_per_sec = ops as f64 / t;
         let vs_base = ops_per_sec / base_ops_per_sec;
         if rate == 0.0 {
             overhead_0 = (t - t_none) / t_none;
@@ -108,6 +124,10 @@ fn main() {
     }
 
     eprintln!("0%-plan overhead vs no plan: {:.2}%", overhead_0 * 100.0);
+    if smoke {
+        eprintln!("BENCH_SMOKE set: every operation completed, JSON not written");
+        return;
+    }
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -12,14 +12,20 @@
 //! * **Checkpoint interval** — the identical workload checkpointed every
 //!   K statements: more frequent checkpoints keep the log (and therefore
 //!   recovery) small at the price of snapshot writes during the run.
+//!
+//! `BENCH_SMOKE=1` runs a short workload once per section, skips the JSON
+//! write, and asserts that every recovered database — replayed in full
+//! or from a checkpoint — is the writer's database, by fingerprint.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use patterns::chaos::db_fingerprint;
 use sqlkernel::{Database, MemLogStore, Value};
 
 const OPS: usize = 20_000;
 const REPS: usize = 3;
+const SMOKE_OPS: usize = 600;
 
 fn schema(db: &Database) {
     db.connect()
@@ -31,9 +37,9 @@ fn schema(db: &Database) {
 }
 
 /// The DML mix: insert, update the row just written, read it back.
-fn run_workload(db: &Database, checkpoint_every: usize) {
+fn run_workload(db: &Database, ops: usize, checkpoint_every: usize) {
     let conn = db.connect();
-    for i in 0..OPS {
+    for i in 0..ops {
         let id = Value::Int((i / 3) as i64);
         match i % 3 {
             0 => conn
@@ -53,28 +59,31 @@ fn run_workload(db: &Database, checkpoint_every: usize) {
     }
 }
 
-fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
-    (0..REPS).map(|_| f()).fold(f64::MAX, f64::min)
+fn best_of<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
+    (0..reps).map(|_| f()).fold(f64::MAX, f64::min)
 }
 
 fn main() {
+    let smoke = std::env::var("BENCH_SMOKE").is_ok();
+    let (ops, reps) = if smoke { (SMOKE_OPS, 1) } else { (OPS, REPS) };
+
     // -------------------------------------------------- WAL overhead
-    let t_mem = best_of(|| {
+    let t_mem = best_of(reps, || {
         let db = Database::new("plain");
         schema(&db);
         let start = Instant::now();
-        run_workload(&db, 0);
+        run_workload(&db, ops, 0);
         start.elapsed().as_secs_f64()
     });
-    let t_wal = best_of(|| {
+    let t_wal = best_of(reps, || {
         let db = Database::with_wal("durable", Arc::new(MemLogStore::new()));
         schema(&db);
         let start = Instant::now();
-        run_workload(&db, 0);
+        run_workload(&db, ops, 0);
         start.elapsed().as_secs_f64()
     });
-    let mem_sps = OPS as f64 / t_mem;
-    let wal_sps = OPS as f64 / t_wal;
+    let mem_sps = ops as f64 / t_mem;
+    let wal_sps = ops as f64 / t_wal;
     let overhead_pct = (t_wal - t_mem) / t_mem * 100.0;
     eprintln!("plain:   {mem_sps:>10.0} stmts/s");
     eprintln!("wal on:  {wal_sps:>10.0} stmts/s  ({overhead_pct:+.2}% time)");
@@ -83,11 +92,12 @@ fn main() {
     let store = MemLogStore::new();
     let db = Database::with_wal("writer", Arc::new(store.clone()));
     schema(&db);
-    run_workload(&db, 0);
+    run_workload(&db, ops, 0);
     let log_bytes = store.bytes();
     let logged = sqlkernel::wal::scan(&log_bytes).records.len();
+    let written = db_fingerprint(&db);
     drop(db); // the crash: only the log survives
-    let t_recover = best_of(|| {
+    let t_recover = best_of(reps, || {
         let replica = Arc::new(MemLogStore::from_bytes(log_bytes.clone()));
         let start = Instant::now();
         let db = Database::recover("reborn", replica).unwrap();
@@ -97,7 +107,10 @@ fn main() {
             .execute("SELECT COUNT(*) FROM journal", &[])
             .unwrap();
         let grid = rows.rows().unwrap();
-        assert_eq!(grid.rows[0][0], Value::Int(OPS.div_ceil(3) as i64));
+        assert_eq!(grid.rows[0][0], Value::Int(ops.div_ceil(3) as i64));
+        if smoke {
+            assert_eq!(db_fingerprint(&db), written, "full replay lost writes");
+        }
         elapsed
     });
     let records_per_sec = logged as f64 / t_recover;
@@ -113,30 +126,42 @@ fn main() {
         let db = Database::with_wal("ckpt", Arc::new(store.clone()));
         schema(&db);
         let start = Instant::now();
-        run_workload(&db, every);
+        run_workload(&db, ops, every);
         let run_secs = start.elapsed().as_secs_f64();
         let bytes = store.bytes();
         let start = Instant::now();
-        Database::recover(
+        let reborn = Database::recover(
             "ckpt_reborn",
             Arc::new(MemLogStore::from_bytes(bytes.clone())),
         )
         .unwrap();
         let recover_secs = start.elapsed().as_secs_f64();
+        if smoke {
+            assert_eq!(
+                db_fingerprint(&reborn),
+                db_fingerprint(&db),
+                "recovery with checkpoints every {every} lost writes"
+            );
+        }
         eprintln!(
             "checkpoint every {every:>5}: run {:.0} stmts/s, log {:>8} bytes, \
              recover {:.1} ms",
-            OPS as f64 / run_secs,
+            ops as f64 / run_secs,
             bytes.len(),
             recover_secs * 1e3,
         );
         interval_rows.push(format!(
             "    {{ \"checkpoint_every\": {every}, \"run_stmts_per_sec\": {:.1}, \
              \"final_log_bytes\": {}, \"recovery_ms\": {:.3} }}",
-            OPS as f64 / run_secs,
+            ops as f64 / run_secs,
             bytes.len(),
             recover_secs * 1e3,
         ));
+    }
+
+    if smoke {
+        eprintln!("BENCH_SMOKE set: recovered fingerprints match, JSON not written");
+        return;
     }
 
     let cpus = std::thread::available_parallelism()

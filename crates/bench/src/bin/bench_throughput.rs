@@ -3,7 +3,7 @@
 //!
 //! The workload is the paper's "many parallel instances" shape reduced
 //! to its storage essentials: each worker owns a private table and
-//! alternates fast-path INSERT/UPDATE statements against it for a fixed
+//! alternates table-scoped INSERT/UPDATE statements against it for a fixed
 //! wall-clock window. With per-table locking, disjoint writers should
 //! scale with the worker count instead of serializing behind a global
 //! write lock; with a non-zero group-commit window, concurrent commits

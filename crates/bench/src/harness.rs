@@ -132,7 +132,7 @@ struct Stats {
     max_ns: f64,
 }
 
-fn run_once<F: FnMut(&mut Bencher)>(iters: u64, f: &mut F) -> Duration {
+fn time_iters<F: FnMut(&mut Bencher)>(iters: u64, f: &mut F) -> Duration {
     let mut b = Bencher {
         iters,
         elapsed: Duration::ZERO,
@@ -146,7 +146,7 @@ fn run_samples<F: FnMut(&mut Bencher)>(sample_size: usize, f: &mut F) -> Stats {
     // target wall time (or the routine is clearly slow enough already).
     let mut iters = 1u64;
     loop {
-        let t = run_once(iters, f);
+        let t = time_iters(iters, f);
         if t >= TARGET_SAMPLE_TIME || iters >= 1 << 20 {
             break;
         }
@@ -154,7 +154,7 @@ fn run_samples<F: FnMut(&mut Bencher)>(sample_size: usize, f: &mut F) -> Stats {
         iters = (iters.saturating_mul(scale as u64)).clamp(iters + 1, 1 << 20);
     }
     let mut per_iter: Vec<f64> = (0..sample_size)
-        .map(|_| run_once(iters, f).as_secs_f64() * 1e9 / iters as f64)
+        .map(|_| time_iters(iters, f).as_secs_f64() * 1e9 / iters as f64)
         .collect();
     per_iter.sort_by(|a, b| a.total_cmp(b));
     Stats {

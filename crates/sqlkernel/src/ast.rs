@@ -94,6 +94,17 @@ impl Statement {
         }
     }
 
+    /// The table an `INSERT`, `UPDATE`, or `DELETE` writes; `None` for
+    /// every other statement.
+    pub fn dml_table(&self) -> Option<&str> {
+        match self {
+            Statement::Insert(s) => Some(&s.table),
+            Statement::Update(s) => Some(&s.table),
+            Statement::Delete(s) => Some(&s.table),
+            _ => None,
+        }
+    }
+
     /// Is this a Data Definition Language statement? The BIS *Data Setup
     /// Pattern* probe uses this classification.
     pub fn is_ddl(&self) -> bool {

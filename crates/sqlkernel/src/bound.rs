@@ -106,51 +106,6 @@ impl BoundExpr {
             _ => None,
         }
     }
-
-    /// Does evaluating this expression run a subquery? Subqueries go
-    /// through the interpreted executor and re-enter the catalog's table
-    /// map, so the fast DML path — which evaluates while holding a table
-    /// guard — is only safe for subquery-free statements.
-    pub fn contains_subquery(&self) -> bool {
-        match self {
-            BoundExpr::Const(_)
-            | BoundExpr::Column(_)
-            | BoundExpr::Param(_)
-            | BoundExpr::NamedParam(_) => false,
-            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
-                expr.contains_subquery()
-            }
-            BoundExpr::Binary { left, right, .. } => {
-                left.contains_subquery() || right.contains_subquery()
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.contains_subquery() || list.iter().any(BoundExpr::contains_subquery)
-            }
-            BoundExpr::InSubquery { .. }
-            | BoundExpr::Exists { .. }
-            | BoundExpr::ScalarSubquery(_) => true,
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => expr.contains_subquery() || low.contains_subquery() || high.contains_subquery(),
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.contains_subquery() || pattern.contains_subquery()
-            }
-            BoundExpr::Case {
-                operand,
-                branches,
-                else_branch,
-            } => {
-                operand.as_deref().is_some_and(BoundExpr::contains_subquery)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_subquery() || t.contains_subquery())
-                    || else_branch
-                        .as_deref()
-                        .is_some_and(BoundExpr::contains_subquery)
-            }
-            BoundExpr::Function { args, .. } => args.iter().any(BoundExpr::contains_subquery),
-        }
-    }
 }
 
 /// Everything a bound expression may need at evaluation time. There is
@@ -169,17 +124,6 @@ pub struct BoundCtx<'a> {
 /// `exec::select::rewrite_aggs`) is `Semantic`. The plan compiler treats
 /// any of them as "decline"; the interpreter reports them.
 pub fn bind(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
-    bind_inner(expr, schema)
-}
-
-/// Bind `expr` against the empty schema and evaluate it once: for the
-/// row-independent positions — `VALUES` cells, `DEFAULT`, `CALL`
-/// arguments, index-probe keys.
-pub fn bind_eval(expr: &Expr, ctx: &BoundCtx<'_>) -> SqlResult<Value> {
-    eval_bound(&bind(expr, &RowSchema::empty())?, ctx)
-}
-
-fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
     let node = match expr {
         Expr::Literal(v) => BoundExpr::Const(v.clone()),
         Expr::Column { table, name } => BoundExpr::Column(schema.resolve(table.as_deref(), name)?),
@@ -187,15 +131,15 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
         Expr::NamedParam(n) => BoundExpr::NamedParam(n.to_ascii_lowercase()),
         Expr::Unary { op, expr } => BoundExpr::Unary {
             op: *op,
-            expr: Box::new(bind_inner(expr, schema)?),
+            expr: Box::new(bind(expr, schema)?),
         },
         Expr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(bind_inner(left, schema)?),
+            left: Box::new(bind(left, schema)?),
             op: *op,
-            right: Box::new(bind_inner(right, schema)?),
+            right: Box::new(bind(right, schema)?),
         },
         Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(bind_inner(expr, schema)?),
+            expr: Box::new(bind(expr, schema)?),
             negated: *negated,
         },
         Expr::InList {
@@ -203,10 +147,10 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
             list,
             negated,
         } => BoundExpr::InList {
-            expr: Box::new(bind_inner(expr, schema)?),
+            expr: Box::new(bind(expr, schema)?),
             list: list
                 .iter()
-                .map(|e| bind_inner(e, schema))
+                .map(|e| bind(e, schema))
                 .collect::<SqlResult<Vec<_>>>()?,
             negated: *negated,
         },
@@ -215,7 +159,7 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
             subquery,
             negated,
         } => BoundExpr::InSubquery {
-            expr: Box::new(bind_inner(expr, schema)?),
+            expr: Box::new(bind(expr, schema)?),
             subquery: subquery.clone(),
             negated: *negated,
         },
@@ -230,9 +174,9 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
             high,
             negated,
         } => BoundExpr::Between {
-            expr: Box::new(bind_inner(expr, schema)?),
-            low: Box::new(bind_inner(low, schema)?),
-            high: Box::new(bind_inner(high, schema)?),
+            expr: Box::new(bind(expr, schema)?),
+            low: Box::new(bind(low, schema)?),
+            high: Box::new(bind(high, schema)?),
             negated: *negated,
         },
         Expr::Like {
@@ -240,8 +184,8 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
             pattern,
             negated,
         } => BoundExpr::Like {
-            expr: Box::new(bind_inner(expr, schema)?),
-            pattern: Box::new(bind_inner(pattern, schema)?),
+            expr: Box::new(bind(expr, schema)?),
+            pattern: Box::new(bind(pattern, schema)?),
             negated: *negated,
         },
         Expr::Case {
@@ -250,15 +194,15 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
             else_branch,
         } => BoundExpr::Case {
             operand: match operand {
-                Some(o) => Some(Box::new(bind_inner(o, schema)?)),
+                Some(o) => Some(Box::new(bind(o, schema)?)),
                 None => None,
             },
             branches: branches
                 .iter()
-                .map(|(w, t)| Ok((bind_inner(w, schema)?, bind_inner(t, schema)?)))
+                .map(|(w, t)| Ok((bind(w, schema)?, bind(t, schema)?)))
                 .collect::<SqlResult<Vec<_>>>()?,
             else_branch: match else_branch {
-                Some(e) => Some(Box::new(bind_inner(e, schema)?)),
+                Some(e) => Some(Box::new(bind(e, schema)?)),
                 None => None,
             },
         },
@@ -271,11 +215,18 @@ fn bind_inner(expr: &Expr, schema: &RowSchema) -> SqlResult<BoundExpr> {
             name: name.clone(),
             args: args
                 .iter()
-                .map(|a| bind_inner(a, schema))
+                .map(|a| bind(a, schema))
                 .collect::<SqlResult<Vec<_>>>()?,
         },
     };
     Ok(fold(node))
+}
+
+/// Bind `expr` against the empty schema and evaluate it once: for the
+/// row-independent positions — `VALUES` cells, `DEFAULT`, `CALL`
+/// arguments, index-probe keys.
+pub fn bind_eval(expr: &Expr, ctx: &BoundCtx<'_>) -> SqlResult<Value> {
+    eval_bound(&bind(expr, &RowSchema::empty())?, ctx)
 }
 
 /// Fold a node whose children are all constants into a constant — if it

@@ -305,9 +305,16 @@ impl Catalog {
     /// preference makes re-acquiring a table this thread already reads
     /// safe (self-joins, subqueries over the scanned table).
     pub fn table(&self, name: &str) -> SqlResult<TableReadGuard<'_, Table>> {
+        self.table_lock(name).map(TableLock::read)
+    }
+
+    /// A table's row-data lock, for a caller that takes its guards in
+    /// phases (a DML statement: shared to collect, exclusive to apply)
+    /// without resolving the name once per phase.
+    pub fn table_lock(&self, name: &str) -> SqlResult<&TableLock<Table>> {
         self.tables
             .get(&key(name))
-            .map(|s| s.lock.read())
+            .map(|s| &s.lock)
             .ok_or_else(|| SqlError::NotFound(format!("table '{name}'")))
     }
 
@@ -329,10 +336,7 @@ impl Catalog {
     /// the same table (self-deadlock); the executor's two-phase scans
     /// drop their read guards before applying.
     pub fn table_mut(&self, name: &str) -> SqlResult<TableWriteGuard<'_, Table>> {
-        self.tables
-            .get(&key(name))
-            .map(|s| s.lock.write())
-            .ok_or_else(|| SqlError::NotFound(format!("table '{name}'")))
+        self.table_lock(name).map(TableLock::write)
     }
 
     /// Does a table exist?

@@ -8,14 +8,12 @@ use std::sync::Arc;
 use crate::ast::Statement;
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::dml::{self, DmlPlan};
+use crate::exec::dml::DmlPlan;
 use crate::fault::{crashed_error, CrashPoint, FaultInjector, FaultPlan, PrepareCrash};
 use crate::pager::{self, FilePageStore, PageStore, PagedEngine};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::CompiledPlan;
-use crate::storage::{
-    enter_snapshot, new_stamp, MvccShared, Snapshot, SnapshotScope, Table, TxnStamp,
-};
+use crate::storage::{enter_snapshot, new_stamp, MvccShared, Snapshot, SnapshotScope, TxnStamp};
 use crate::sync::{Mutex, RwLock};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
@@ -1247,13 +1245,6 @@ struct SnapshotCtx<'a> {
     scope: Option<SnapshotScope>,
 }
 
-impl SnapshotCtx<'_> {
-    /// The write stamp for versions created under this snapshot.
-    fn stamp(&self) -> TxnStamp {
-        Arc::clone(&self.stamp)
-    }
-}
-
 impl Drop for SnapshotCtx<'_> {
     fn drop(&mut self) {
         // Uninstall the thread-local scope before releasing the registry
@@ -1262,6 +1253,26 @@ impl Drop for SnapshotCtx<'_> {
         if let Some(db) = self.db {
             db.release_snapshot(self.ts);
         }
+    }
+}
+
+/// The catalog access a write statement runs under — the shared shape
+/// lock of the table scope (as `&Catalog`) or the exclusive shape lock —
+/// and how it undoes a failed statement: a table-scoped DML log holds
+/// only row entries, which undo through shared catalog access.
+trait WriteScope: std::ops::Deref<Target = Catalog> {
+    fn roll_back(&mut self, log: UndoLog);
+}
+
+impl WriteScope for &Catalog {
+    fn roll_back(&mut self, log: UndoLog) {
+        log.rollback_rows(self);
+    }
+}
+
+impl WriteScope for crate::sync::RwLockWriteGuard<'_, Catalog> {
+    fn roll_back(&mut self, log: UndoLog) {
+        log.rollback(self);
     }
 }
 
@@ -1346,33 +1357,10 @@ impl Connection {
         }
     }
 
-    /// Was this abort caused by the fault layer (injected transient or a
-    /// contained panic)? Such aborts also invalidate the statement's
-    /// compiled-plan slot: the plan may have been bound mid-flight, and
-    /// a defensive re-bind on the next use is cheap insurance.
-    fn fault_aborted(e: &SqlError) -> bool {
-        matches!(e, SqlError::Transient(_))
-            || matches!(e, SqlError::Runtime(m) if m.starts_with("statement panicked"))
-    }
-
     /// Drop the compiled-plan slot of `cached` so the next execution
     /// re-binds against the current catalog.
     fn invalidate_plan_slot(cached: &CachedStmt) {
         *cached.plan.lock() = None;
-    }
-
-    /// Is this `INSERT` eligible for the fast path (shared shape lock,
-    /// exclusive only on its target table)? Requires a `VALUES` source —
-    /// `INSERT ... SELECT` reads other tables — with every expression
-    /// subquery-free, so execution never re-enters the table map while
-    /// the target's guard is held.
-    fn insert_is_fast(stmt: &crate::ast::InsertStmt) -> bool {
-        match &stmt.source {
-            crate::ast::InsertSource::Values(rows) => rows
-                .iter()
-                .all(|row| row.iter().all(|e| !e.contains_subquery())),
-            crate::ast::InsertSource::Select(_) => false,
-        }
     }
 
     /// Convert a caught panic payload into a clean engine error.
@@ -1471,7 +1459,7 @@ impl Connection {
     }
 
     /// Run one DML statement once per parameter set, as a single atomic
-    /// unit: one statement-cache resolution, one table (or catalog)
+    /// unit: one statement-cache resolution, one bind, one table-scope
     /// lock acquisition, one undo scope, and one WAL append cover the
     /// whole batch. Either every set applies or none does — a failure on
     /// set *k* rolls back sets *0..k* too. Returns the total number of
@@ -1495,107 +1483,24 @@ impl Connection {
             ));
         }
         let cached = self.memoized_statement(sql)?;
-        if !matches!(
-            cached.stmt,
-            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)
-        ) {
+        let Some(table) = cached.stmt.dml_table() else {
             return Err(SqlError::Semantic(
                 "execute_batch supports only INSERT, UPDATE, and DELETE".into(),
             ));
-        }
+        };
         self.fault_gate(&cached.stmt)?;
         self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
         let named: HashMap<String, Value> = HashMap::new();
-
-        // Subquery-free single-table DML batches run on the fast path:
-        // shared shape lock, exclusive only on the target table.
-        let fast_table = match &cached.stmt {
-            Statement::Insert(i) if Self::insert_is_fast(i) => Some(i.table.clone()),
-            Statement::Update(u)
-                if !u.assignments.iter().any(|(_, e)| e.contains_subquery())
-                    && !u
-                        .where_clause
-                        .as_ref()
-                        .is_some_and(|e| e.contains_subquery()) =>
-            {
-                Some(u.table.clone())
-            }
-            Statement::Delete(d)
-                if !d
-                    .where_clause
-                    .as_ref()
-                    .is_some_and(|e| e.contains_subquery()) =>
-            {
-                Some(d.table.clone())
-            }
-            _ => None,
-        };
-
-        if let Some(table_name) = fast_table {
-            let catalog = self.db.inner.catalog.read();
-            // Writer-writer serialization without excluding readers: one
-            // write statement per table at a time.
-            let _stmt = catalog.table_stmt(&table_name)?;
-            let ctx = self.snapshot_ctx();
-            let mut table = catalog.table_mut(&table_name)?;
-            let mut scratch = UndoLog::with_stamp(ctx.stamp());
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // One bind for the whole batch.
-                let plan = DmlPlan::bind(&table, &cached.stmt)?;
-                let mut total = 0;
-                for params in param_sets {
-                    total += plan.run_on(&catalog, &mut table, params, &named, &mut scratch)?;
-                }
-                Ok(total)
-            }))
-            .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-            return match result {
-                Ok(total) => {
-                    self.finish_fast_write(&catalog, &table_name, table, scratch, &ctx)?;
-                    Ok(total)
-                }
-                Err(e) => {
-                    // Batch atomicity: every already-applied set unwinds.
-                    scratch.rollback_on_table(&mut table);
-                    self.db.note_rollback();
-                    Err(e)
-                }
-            };
-        }
-
-        // Subquery-bearing batch: the exclusive general path.
-        let ctx = self.snapshot_ctx();
-        let mut catalog = self.db.inner.catalog.write();
-        let mut scratch = UndoLog::with_stamp(ctx.stamp());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let plan = DmlPlan::bind_in(&catalog, &cached.stmt)?;
+        let catalog = self.db.inner.catalog.read();
+        self.write_table(&catalog, table, None, |catalog, undo| {
+            // One bind for the whole batch.
+            let plan = DmlPlan::bind(catalog, &cached.stmt)?;
             let mut total = 0;
             for params in param_sets {
-                total += plan.run(&catalog, params, &named, &mut scratch)?;
+                total += plan.run(catalog, params, &named, undo)?;
             }
             Ok(total)
-        }))
-        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-        match result {
-            Ok(total) => {
-                if let Err(e) = self.wal_log_statement(&catalog, &scratch) {
-                    scratch.rollback(&mut catalog);
-                    self.db.note_rollback();
-                    return Err(e);
-                }
-                if let Some(txn) = self.txn.borrow_mut().as_mut() {
-                    txn.absorb(scratch);
-                } else {
-                    self.db.commit_stamp(&ctx.stamp);
-                }
-                Ok(total)
-            }
-            Err(e) => {
-                scratch.rollback(&mut catalog);
-                self.db.note_rollback();
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Fetch the cached compiled plan for this statement, re-binding it
@@ -1618,9 +1523,11 @@ impl Connection {
     }
 
     /// Log a successful mutating statement to the WAL, before its success
-    /// is acknowledged to the caller. Must run while the statement's
-    /// exclusive catalog lock is still held, so the after-images derived
-    /// from the scratch undo log are exactly what the statement wrote.
+    /// is acknowledged to the caller. Must run while the statement still
+    /// excludes every other writer of what it wrote (its table's
+    /// statement mutex, or the exclusive catalog-shape lock), so the
+    /// after-images derived from the scratch undo log are exactly what
+    /// the statement wrote.
     ///
     /// Auto-commit statements append `[Begin, ops…, Commit]` in one
     /// write; statements inside an explicit transaction append their ops
@@ -1634,28 +1541,6 @@ impl Connection {
     /// caller must treat the statement as failed and undo its in-memory
     /// effects.
     fn wal_log_statement(&self, catalog: &Catalog, scratch: &UndoLog) -> SqlResult<()> {
-        self.wal_log_with(catalog, || wal::ops_from_undo(catalog, scratch.ops()))
-    }
-
-    /// Fast-path variant of [`Connection::wal_log_statement`]: derives
-    /// the redo ops from the *held* table guard instead of re-entering
-    /// the catalog's table map (which would self-deadlock). Everything
-    /// else — crash points, transaction framing, group commit — is
-    /// identical.
-    fn wal_log_statement_on(
-        &self,
-        catalog: &Catalog,
-        table: &Table,
-        scratch: &UndoLog,
-    ) -> SqlResult<()> {
-        self.wal_log_with(catalog, || wal::ops_from_undo_on(table, scratch.ops()))
-    }
-
-    fn wal_log_with(
-        &self,
-        catalog: &Catalog,
-        derive_ops: impl FnOnce() -> Vec<wal::WalOp>,
-    ) -> SqlResult<()> {
         let injector = self.db.inner.injector.lock().clone();
         if let Some(inj) = &injector {
             if inj.frozen() {
@@ -1666,31 +1551,19 @@ impl Connection {
         let Some(wal) = self.db.inner.wal.as_ref() else {
             // No log attached: a crash point still kills the process —
             // there is simply nothing durable to come back to.
-            if armed.is_some() {
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
-                return Err(crashed_error());
-            }
-            return Ok(());
+            return match armed {
+                Some(_) => Err(deliver_crash(&injector)),
+                None => Ok(()),
+            };
         };
-        let ops = derive_ops();
+        let ops = wal::ops_from_undo(catalog, scratch.ops());
         if ops.is_empty() && armed.is_none() {
             return Ok(());
         }
         let in_txn = self.txn.borrow().is_some();
         let mut records = Vec::with_capacity(ops.len() + 2);
         let txn_id = if in_txn {
-            match self.wal_txn.get() {
-                Some(id) => id,
-                None => {
-                    let id = wal.alloc_txn();
-                    self.wal_txn.set(Some(id));
-                    records.push(WalRecord::Begin { txn: id });
-                    wal.note_txn_open();
-                    id
-                }
-            }
+            self.open_wal_txn(wal, &mut records)
         } else {
             let id = wal.alloc_txn();
             records.push(WalRecord::Begin { txn: id });
@@ -1707,31 +1580,28 @@ impl Connection {
             });
         }
         match armed {
-            None => wal.append(&records, AppendMode::Full),
-            Some(CrashPoint::AfterLog) => {
-                wal.append(&records, AppendMode::Full)?;
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
-                Err(crashed_error())
-            }
-            Some(CrashPoint::MidApply) => {
-                wal.append(&records, AppendMode::Torn)?;
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
-                Err(crashed_error())
-            }
+            None => return wal.append(&records, AppendMode::Full),
+            Some(CrashPoint::AfterLog) => wal.append(&records, AppendMode::Full)?,
+            Some(CrashPoint::MidApply) => wal.append(&records, AppendMode::Torn)?,
             // These are delivered at the statement gate / checkpoint and
             // never reach the armed state; treat defensively as a crash
             // before any append.
-            Some(CrashPoint::BeforeLog | CrashPoint::DuringCheckpoint) => {
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
-                Err(crashed_error())
-            }
+            Some(CrashPoint::BeforeLog | CrashPoint::DuringCheckpoint) => {}
         }
+        Err(deliver_crash(&injector))
+    }
+
+    /// This connection's WAL transaction id, allocated (and its `Begin`
+    /// queued onto `records`) by the transaction's first logged record.
+    fn open_wal_txn(&self, wal: &Wal, records: &mut Vec<WalRecord>) -> u64 {
+        if let Some(id) = self.wal_txn.get() {
+            return id;
+        }
+        let id = wal.alloc_txn();
+        self.wal_txn.set(Some(id));
+        records.push(WalRecord::Begin { txn: id });
+        wal.note_txn_open();
+        id
     }
 
     /// Append the `Abort` terminator for this connection's logged
@@ -1755,47 +1625,6 @@ impl Connection {
             }
             wal.note_txn_closed();
         }
-    }
-
-    /// Durability + commit phase shared by the fast write paths.
-    ///
-    /// The exclusive table guard is dropped *before* the WAL append and
-    /// the after-images are re-derived under a shared guard: the
-    /// statement's versions are still unstamped — invisible to every
-    /// snapshot — so readers proceed against the pre-statement state
-    /// while the append (and any group-commit window) runs. The caller's
-    /// per-table statement mutex keeps other writers out, so the rows the
-    /// shared guard exposes are exactly what this statement wrote. Only
-    /// after the append is acknowledged does the commit stamp (autocommit)
-    /// or the enclosing transaction's eventual COMMIT publish the
-    /// versions.
-    ///
-    /// On append failure the statement's versions are unwound under a
-    /// re-taken exclusive guard and the error is returned; nothing was
-    /// ever visible.
-    fn finish_fast_write(
-        &self,
-        catalog: &Catalog,
-        table_name: &str,
-        table: crate::sync::TableWriteGuard<'_, Table>,
-        scratch: UndoLog,
-        ctx: &SnapshotCtx<'_>,
-    ) -> SqlResult<()> {
-        drop(table);
-        let read = catalog.table(table_name)?;
-        if let Err(e) = self.wal_log_statement_on(catalog, &read, &scratch) {
-            drop(read);
-            let mut table = catalog.table_mut(table_name)?;
-            scratch.rollback_on_table(&mut table);
-            self.db.note_rollback();
-            return Err(e);
-        }
-        if let Some(txn) = self.txn.borrow_mut().as_mut() {
-            txn.absorb(scratch);
-        } else {
-            self.db.commit_stamp(&ctx.stamp);
-        }
-        Ok(())
     }
 
     /// Execute through the compiled plan when one applies; otherwise
@@ -1839,91 +1668,10 @@ impl Connection {
                 Ok(StatementResult::Rows(rs))
             }
             Statement::Update(_) | Statement::Delete(_) => {
-                let named: HashMap<String, Value> = HashMap::new();
-                // Bind (or fetch) the plan under the *shared* shape lock:
-                // a compiled, subquery-free single-table statement runs on
-                // the fast path — exclusive only on its own table — so DML
-                // on disjoint tables proceeds truly concurrently.
+                // Bind (or fetch) the plan under the shared shape lock and
+                // keep holding it: the epoch the plan was bound at cannot
+                // move before the statement finishes.
                 let catalog = self.db.inner.catalog.read();
-                let plan = self.compiled_plan(cached, &catalog);
-                let fast_table = match &*plan {
-                    CompiledPlan::Update(p) if !p.has_subquery() => {
-                        Some(p.table_name().to_string())
-                    }
-                    CompiledPlan::Delete(p) if !p.has_subquery() => {
-                        Some(p.table_name().to_string())
-                    }
-                    _ => None,
-                };
-                if let Some(table_name) = fast_table {
-                    self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = catalog.fault_bind_complete() {
-                        Self::invalidate_plan_slot(cached);
-                        return Err(e);
-                    }
-                    // Writer-writer serialization without excluding
-                    // readers: one write statement per table at a time.
-                    let _stmt = catalog.table_stmt(&table_name)?;
-                    let ctx = self.snapshot_ctx();
-                    // The exclusive guard covers only the in-memory
-                    // apply; versions stay unstamped (invisible) until
-                    // the WAL append is acknowledged, so readers are
-                    // never atomicity witnesses.
-                    let mut table = catalog.table_mut(&table_name)?;
-                    let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &*plan {
-                            CompiledPlan::Update(p) => crate::plan::run_update_plan_on(
-                                &catalog,
-                                &mut table,
-                                p,
-                                params,
-                                &named,
-                                &mut scratch,
-                            ),
-                            CompiledPlan::Delete(p) => crate::plan::run_delete_plan_on(
-                                &catalog,
-                                &mut table,
-                                p,
-                                params,
-                                &named,
-                                &mut scratch,
-                            ),
-                            _ => unreachable!("eligibility checked above"),
-                        }))
-                        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                    return match result {
-                        Ok(n) => {
-                            if let Err(e) =
-                                self.finish_fast_write(&catalog, &table_name, table, scratch, &ctx)
-                            {
-                                // The write never became durable; its
-                                // in-memory versions were unwound.
-                                Self::invalidate_plan_slot(cached);
-                                return Err(e);
-                            }
-                            Ok(StatementResult::Affected(n))
-                        }
-                        Err(e) => {
-                            // Statement atomicity: wipe this statement's
-                            // effects, using the guard we still hold.
-                            scratch.rollback_on_table(&mut table);
-                            self.db.note_rollback();
-                            if Self::fault_aborted(&e) {
-                                Self::invalidate_plan_slot(cached);
-                            }
-                            Err(e)
-                        }
-                    };
-                }
-                drop(catalog);
-                if matches!(&*plan, CompiledPlan::Unsupported) {
-                    return self.execute_ast_inner(&cached.stmt, params);
-                }
-                // Subquery-bearing compiled plan: the exclusive path. The
-                // plan must be re-fetched under the write lock — DDL may
-                // have moved the epoch in the lock gap.
-                let mut catalog = self.db.inner.catalog.write();
                 let plan = self.compiled_plan(cached, &catalog);
                 if matches!(&*plan, CompiledPlan::Unsupported) {
                     drop(catalog);
@@ -1934,83 +1682,24 @@ impl Connection {
                     Self::invalidate_plan_slot(cached);
                     return Err(e);
                 }
-                let ctx = self.snapshot_ctx();
-                let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                // Contain panics (injected or genuine) so a crashing
-                // statement surfaces as an error with its partial work
-                // undone instead of poisoning the catalog lock.
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &*plan {
-                        CompiledPlan::Update(p) => {
-                            crate::plan::run_update_plan(&catalog, p, params, &named, &mut scratch)
-                        }
-                        CompiledPlan::Delete(p) => {
-                            crate::plan::run_delete_plan(&catalog, p, params, &named, &mut scratch)
-                        }
-                        _ => unreachable!("SELECT plans handled above"),
-                    }))
-                    .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                match result {
-                    Ok(n) => {
-                        if let Err(e) = self.wal_log_statement(&catalog, &scratch) {
-                            // The write never became durable; statement
-                            // atomicity demands its in-memory effects go too.
-                            scratch.rollback(&mut catalog);
-                            self.db.note_rollback();
-                            Self::invalidate_plan_slot(cached);
-                            return Err(e);
-                        }
-                        if let Some(txn) = self.txn.borrow_mut().as_mut() {
-                            txn.absorb(scratch);
-                        } else {
-                            self.db.commit_stamp(&ctx.stamp);
-                        }
-                        Ok(StatementResult::Affected(n))
-                    }
-                    Err(e) => {
-                        // Statement atomicity: wipe this statement's effects.
-                        scratch.rollback(&mut catalog);
-                        self.db.note_rollback();
-                        if Self::fault_aborted(&e) {
-                            Self::invalidate_plan_slot(cached);
-                        }
-                        Err(e)
-                    }
-                }
-            }
-            Statement::Insert(ins) if Self::insert_is_fast(ins) => {
-                // Subquery-free `INSERT … VALUES`: runs under the shared
-                // shape lock, exclusive only on its target table.
-                self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
+                let table = cached.stmt.dml_table().expect("UPDATE/DELETE has a target");
                 let named: HashMap<String, Value> = HashMap::new();
-                let catalog = self.db.inner.catalog.read();
-                // Writer-writer serialization without excluding readers.
-                let _stmt = catalog.table_stmt(&ins.table)?;
-                let ctx = self.snapshot_ctx();
-                let mut table = catalog.table_mut(&ins.table)?;
-                let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    dml::run_on(
+                let n =
+                    self.write_table(
                         &catalog,
-                        &mut table,
-                        &cached.stmt,
-                        params,
-                        &named,
-                        &mut scratch,
-                    )
-                }))
-                .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                match result {
-                    Ok(n) => {
-                        self.finish_fast_write(&catalog, &ins.table, table, scratch, &ctx)?;
-                        Ok(StatementResult::Affected(n))
-                    }
-                    Err(e) => {
-                        scratch.rollback_on_table(&mut table);
-                        self.db.note_rollback();
-                        Err(e)
-                    }
-                }
+                        table,
+                        Some(cached),
+                        |catalog, undo| match &*plan {
+                            CompiledPlan::Update(p) => {
+                                crate::plan::run_update_plan(catalog, p, params, &named, undo)
+                            }
+                            CompiledPlan::Delete(p) => {
+                                crate::plan::run_delete_plan(catalog, p, params, &named, undo)
+                            }
+                            _ => unreachable!("UPDATE/DELETE compile to their own plans"),
+                        },
+                    )?;
+                Ok(StatementResult::Affected(n))
             }
             _ => self.execute_ast_inner(&cached.stmt, params),
         }
@@ -2054,9 +1743,11 @@ impl Connection {
 
     /// Execute an already-parsed statement.
     ///
-    /// `SELECT` runs under a *shared* catalog lock — any number of readers
-    /// proceed in parallel — while DDL, `CALL`, subquery-bearing DML, and
-    /// rollback take the exclusive lock. Isolation is snapshot-per-
+    /// `SELECT` runs under the *shared* catalog-shape lock — any number of
+    /// readers proceed in parallel — and so does DML, which additionally
+    /// holds its target table's statement mutex (see
+    /// [`Connection::write_table`]); DDL, `CALL`, and rollback take the
+    /// exclusive shape lock. Isolation is snapshot-per-
     /// statement (snapshot-per-transaction under BEGIN…COMMIT): every
     /// read resolves row visibility against a commit-timestamped
     /// snapshot, so a reader sees either all of a statement's writes or
@@ -2136,15 +1827,7 @@ impl Connection {
                     .borrow_mut()
                     .take()
                     .ok_or_else(|| SqlError::Txn("ROLLBACK without open transaction".into()))?;
-                self.clear_prepared();
-                let mut catalog = self.db.inner.catalog.write();
-                log.rollback(&mut catalog);
-                self.db.note_rollback();
-                drop(catalog);
-                self.wal_abort();
-                if let Some((_stamp, ts)) = self.txn_stamp.borrow_mut().take() {
-                    self.db.release_snapshot(ts);
-                }
+                self.abort_txn(log);
                 Ok(StatementResult::TxnControl)
             }
             Statement::Select(s) => {
@@ -2158,52 +1841,25 @@ impl Connection {
                     .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
                 Ok(StatementResult::Rows(rs))
             }
+            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+                let named: HashMap<String, Value> = HashMap::new();
+                let catalog = self.db.inner.catalog.read();
+                let table = stmt.dml_table().expect("DML has a target");
+                let n = self.write_table(&catalog, table, None, |catalog, undo| {
+                    DmlPlan::bind(catalog, stmt)?.run(catalog, params, &named, undo)
+                })?;
+                Ok(StatementResult::Affected(n))
+            }
             other => {
                 let named: HashMap<String, Value> = HashMap::new();
-                let ctx = self.snapshot_ctx();
                 let mut catalog = self.db.inner.catalog.write();
-                let mut scratch = UndoLog::with_stamp(ctx.stamp());
-                // Contain panics so they surface as errors (with this
-                // statement's effects undone) instead of poisoning the lock.
-                let exec_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    crate::exec::execute(&mut catalog, other, params, &named, &mut scratch)
-                }))
-                .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
-                match exec_result {
-                    Ok(result) => {
-                        if let Err(e) = self.wal_log_statement(&catalog, &scratch) {
-                            // The write never became durable; statement
-                            // atomicity demands its in-memory effects go too.
-                            scratch.rollback(&mut catalog);
-                            self.db.note_rollback();
-                            return Err(e);
-                        }
-                        if let StatementResult::Rows(rs) = &result {
-                            self.db
-                                .inner
-                                .rows_counter
-                                .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
-                        }
-                        // Track temp tables for drop-on-close.
-                        if let Statement::CreateTable(c) = other {
-                            if c.temporary {
-                                self.temp_tables.borrow_mut().push(c.name.clone());
-                            }
-                        }
-                        if let Statement::DropTable { name, .. } = other {
-                            self.temp_tables
-                                .borrow_mut()
-                                .retain(|t| !t.eq_ignore_ascii_case(name));
-                        }
-                        if let Some(txn) = self.txn.borrow_mut().as_mut() {
-                            txn.absorb(scratch);
-                        } else {
-                            self.db.commit_stamp(&ctx.stamp);
-                        }
-                        // DDL invalidates dependent cached plans. For CALL,
-                        // the procedure body may itself run DDL; collect its
-                        // targets too (one call level deep — nested CALLs
-                        // running DDL are not a supported pattern).
+                let (result, targets) =
+                    self.write_statement(&mut catalog, None, |catalog, undo| {
+                        let result = crate::exec::execute(catalog, other, params, &named, undo)?;
+                        // DDL invalidates dependent cached plans. For CALL, the
+                        // procedure body may itself run DDL; collect its targets
+                        // too (one call level deep — nested CALLs running DDL
+                        // are not a supported pattern).
                         let mut targets = other.ddl_targets();
                         if let Statement::Call { name, .. } = other {
                             if let Ok(proc) = catalog.procedure(name) {
@@ -2212,20 +1868,121 @@ impl Connection {
                                 }
                             }
                         }
-                        drop(catalog);
-                        if !targets.is_empty() {
-                            self.db.invalidate_statements(&targets);
-                        }
-                        Ok(result)
-                    }
-                    Err(e) => {
-                        // Statement atomicity: wipe this statement's effects.
-                        scratch.rollback(&mut catalog);
-                        self.db.note_rollback();
-                        Err(e)
+                        Ok((result, targets))
+                    })?;
+                drop(catalog);
+                if let StatementResult::Rows(rs) = &result {
+                    self.db
+                        .inner
+                        .rows_counter
+                        .fetch_add(rs.rows.len() as u64, Ordering::Relaxed);
+                }
+                // Track temp tables for drop-on-close.
+                if let Statement::CreateTable(c) = other {
+                    if c.temporary {
+                        self.temp_tables.borrow_mut().push(c.name.clone());
                     }
                 }
+                if let Statement::DropTable { name, .. } = other {
+                    self.temp_tables
+                        .borrow_mut()
+                        .retain(|t| !t.eq_ignore_ascii_case(name));
+                }
+                if !targets.is_empty() {
+                    self.db.invalidate_statements(&targets);
+                }
+                Ok(result)
             }
+        }
+    }
+
+    /// Run one `INSERT`/`UPDATE`/`DELETE` on `table` through
+    /// [`Connection::write_statement`] under the *table scope*: the
+    /// caller's shared catalog-shape lock plus the table's statement
+    /// mutex, which serializes the table's writers for the whole
+    /// statement without excluding readers or writers of other tables.
+    /// Lock order: shape lock, then statement mutex, then per-table data
+    /// guards — shared while the statement collects (subqueries may read
+    /// any table), exclusive on the target only while it applies.
+    fn write_table<T>(
+        &self,
+        catalog: &Catalog,
+        table: &str,
+        cached: Option<&CachedStmt>,
+        body: impl FnOnce(&Catalog, &mut UndoLog) -> SqlResult<T>,
+    ) -> SqlResult<T> {
+        let _stmt = catalog.table_stmt(table)?;
+        self.write_statement(&mut { catalog }, cached, |catalog, undo| {
+            body(catalog, undo)
+        })
+    }
+
+    /// The one write-statement skeleton, under the lock the caller holds
+    /// (the table scope of [`Connection::write_table`], or the exclusive
+    /// shape lock for DDL and `CALL`). It establishes the snapshot — after
+    /// the lock, so a writer reads every commit of the writer it queued
+    /// behind — runs `body` into a scratch undo log with panics contained,
+    /// then settles the statement. On success it derives the redo from
+    /// the scratch log, appends it to the WAL, and at acknowledgement
+    /// commits the statement's stamp (autocommit) or folds the log into
+    /// the open transaction. On failure — of the body or of the append —
+    /// it undoes the statement and, when a fault caused the abort, drops
+    /// the statement's compiled-plan slot.
+    fn write_statement<S: WriteScope, T>(
+        &self,
+        catalog: &mut S,
+        cached: Option<&CachedStmt>,
+        body: impl FnOnce(&mut S, &mut UndoLog) -> SqlResult<T>,
+    ) -> SqlResult<T> {
+        let ctx = self.snapshot_ctx();
+        let mut scratch = UndoLog::with_stamp(Arc::clone(&ctx.stamp));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(catalog, &mut scratch)))
+                .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
+        let (e, fault) = match result {
+            Ok(value) => match self.wal_log_statement(catalog, &scratch) {
+                Ok(()) => {
+                    match self.txn.borrow_mut().as_mut() {
+                        Some(txn) => txn.absorb(scratch),
+                        None => self.db.commit_stamp(&ctx.stamp),
+                    }
+                    return Ok(value);
+                }
+                // The write never became durable; statement atomicity
+                // demands its in-memory effects go too.
+                Err(e) => (e, true),
+            },
+            // An abort by the fault layer (injected transient or contained
+            // panic) may have met a plan bound mid-flight: re-bind it.
+            Err(e) => {
+                let fault = matches!(e, SqlError::Transient(_))
+                    || matches!(&e, SqlError::Runtime(m) if m.starts_with("statement panicked"));
+                (e, fault)
+            }
+        };
+        self.undo(catalog, scratch);
+        if let Some(cached) = cached.filter(|_| fault) {
+            Self::invalidate_plan_slot(cached);
+        }
+        Err(e)
+    }
+
+    /// Undo a failed statement's or an aborted transaction's log and
+    /// count the rollback.
+    fn undo(&self, catalog: &mut impl WriteScope, log: UndoLog) {
+        catalog.roll_back(log);
+        self.db.note_rollback();
+    }
+
+    /// Roll the open transaction back (its log already taken): undo it
+    /// under the exclusive shape lock, terminate its WAL transaction, and
+    /// release its snapshot.
+    fn abort_txn(&self, log: UndoLog) {
+        self.clear_prepared();
+        self.undo(&mut self.db.inner.catalog.write(), log);
+        self.wal_abort();
+        if let Some((_stamp, ts)) = self.txn_stamp.borrow_mut().take() {
+            self.db.release_snapshot(ts);
         }
     }
 
@@ -2249,16 +2006,9 @@ impl Connection {
             }
             return;
         }
-        if let Some(log) = self.txn.borrow_mut().take() {
-            self.clear_prepared();
-            let mut catalog = self.db.inner.catalog.write();
-            log.rollback(&mut catalog);
-            self.db.note_rollback();
-            drop(catalog);
-            self.wal_abort();
-            if let Some((_stamp, ts)) = self.txn_stamp.borrow_mut().take() {
-                self.db.release_snapshot(ts);
-            }
+        let log = self.txn.borrow_mut().take();
+        if let Some(log) = log {
+            self.abort_txn(log);
         }
     }
 
@@ -2313,24 +2063,12 @@ impl Connection {
             // Die before the vote reaches the log: recovery sees an
             // ordinary loser and undoes it; the coordinator sees a dead
             // participant and presumes abort. Consistent either way.
-            if let Some(inj) = &injector {
-                inj.deliver_crash();
-            }
-            return Err(crashed_error());
+            return Err(deliver_crash(&injector));
         }
         let mut records = Vec::with_capacity(2);
-        let txn_id = match self.wal_txn.get() {
-            Some(id) => id,
-            None => {
-                // A participant that only read still votes; its Prepare
-                // must name a logged transaction, so open one now.
-                let id = wal.alloc_txn();
-                self.wal_txn.set(Some(id));
-                records.push(WalRecord::Begin { txn: id });
-                wal.note_txn_open();
-                id
-            }
-        };
+        // A participant that only read still votes; its Prepare must
+        // name a logged transaction, so this opens one if need be.
+        let txn_id = self.open_wal_txn(wal, &mut records);
         {
             let catalog = self.db.inner.catalog.read();
             records.push(WalRecord::Prepare {
@@ -2346,19 +2084,13 @@ impl Connection {
                 // coordinator presumes abort, and recovery must resolve
                 // the in-doubt transaction to abort from the decision log.
                 wal.append(&records, AppendMode::Full)?;
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
-                Err(crashed_error())
+                Err(deliver_crash(&injector))
             }
             Some(PrepareCrash::Torn) => {
                 // A torn vote is no vote: recovery truncates at the tear
                 // and treats the transaction as a loser.
                 wal.append(&records, AppendMode::Torn)?;
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
-                Err(crashed_error())
+                Err(deliver_crash(&injector))
             }
             Some(PrepareCrash::AfterAck) => {
                 // The classic in-doubt window: vote cast and acknowledged,
@@ -2368,9 +2100,7 @@ impl Connection {
                 wal.append(&records, AppendMode::Full)?;
                 self.prepared.set(true);
                 wal.note_prepared();
-                if let Some(inj) = &injector {
-                    inj.deliver_crash();
-                }
+                deliver_crash(&injector);
                 Ok(())
             }
             Some(PrepareCrash::Before) | None => {
@@ -2403,6 +2133,15 @@ impl Connection {
         }
         self.execute("ROLLBACK", &[]).map(|_| ())
     }
+}
+
+/// Kill the modeled process (freeze the injector, if one is installed)
+/// and return the error the dying statement reports.
+fn deliver_crash(injector: &Option<Arc<FaultInjector>>) -> SqlError {
+    if let Some(inj) = injector {
+        inj.deliver_crash();
+    }
+    crashed_error()
 }
 
 impl Drop for Connection {

@@ -103,8 +103,8 @@ pub struct BatchScratch {
 
 /// Materialize the access path as *borrowed* rows, in exactly the
 /// physical order the interpreter's scan would produce, ticking the
-/// same scan counters. `pushdown` truncates an `IndexOrder` walk to the
-/// first N ids (callers establish the no-filter / order-served / no-
+/// same scan counters. `pushdown` stops an `IndexOrder` walk after the
+/// first N rows (callers establish the no-filter / order-served / no-
 /// distinct conditions that make this safe).
 fn gather_rows<'t>(
     catalog: &Catalog,
@@ -158,6 +158,7 @@ fn gather_rows<'t>(
                     upper.as_ref().map(|(v, i)| (v, *i)),
                     *rev,
                     false,
+                    None,
                 )
                 .into_iter()
                 .map(|(_, row)| row.as_slice())
@@ -165,16 +166,12 @@ fn gather_rows<'t>(
         }
         Access::IndexOrder { col, desc } => {
             let index = table.find_index(&[*col]).expect("plan epoch guards index");
-            let mut rows: Vec<&[Value]> = table
-                .index_range_entries(index, None, None, *desc, true)
+            catalog.note_range_scan();
+            table
+                .index_range_entries(index, None, None, *desc, true, pushdown)
                 .into_iter()
                 .map(|(_, row)| row.as_slice())
-                .collect();
-            if let Some(n) = pushdown {
-                rows.truncate(n);
-            }
-            catalog.note_range_scan();
-            rows
+                .collect()
         }
     })
 }
@@ -247,6 +244,7 @@ fn gather_side<'t>(
                     upper.as_ref().map(|(v, i)| (v, *i)),
                     *rev,
                     false,
+                    None,
                 )
                 .into_iter()
                 .map(|(id, row)| (id, row.as_slice()))

@@ -35,7 +35,7 @@ pub fn execute(
             Ok(StatementResult::Rows(rs))
         }
         Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
-            let n = dml::run(catalog, stmt, params, named_params, undo)?;
+            let n = dml::DmlPlan::bind(catalog, stmt)?.run(catalog, params, named_params, undo)?;
             Ok(StatementResult::Affected(n))
         }
         Statement::CreateTable(s) => {

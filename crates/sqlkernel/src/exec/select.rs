@@ -461,6 +461,7 @@ fn try_index_scan(
                 upper.as_ref().map(|(v, i)| (v, *i)),
                 rev,
                 false,
+                None,
             )
             .into_iter()
             .map(|(_, row)| Arc::clone(row))
@@ -475,7 +476,7 @@ fn try_index_scan(
     if let Some((col, desc)) = order_hint {
         if let Some(index) = table.find_index(&[col]) {
             let rows: Vec<Arc<Row>> = table
-                .index_range_entries(index, None, None, desc, true)
+                .index_range_entries(index, None, None, desc, true, None)
                 .into_iter()
                 .map(|(_, row)| Arc::clone(row))
                 .collect();

@@ -21,8 +21,9 @@
 //! `naive_order_hint`), so for any statement both executors emit rows in
 //! the same order; the differential tests in `tests/plan_cache.rs` hold
 //! them byte-identical. Compiled and interpreted `UPDATE`/`DELETE` run
-//! one set of collect/apply loops ([`run_update_plan`],
-//! [`run_delete_plan`] and their `_on` variants).
+//! one set of collect loops ([`run_update_plan`], [`run_delete_plan`]),
+//! and every DML statement — `INSERT` included, whichever entry point
+//! it came in through — applies through one loop, [`write_rows`].
 //!
 //! Plans are cached per statement, keyed by the catalog's schema
 //! [`epoch`](crate::catalog::Catalog::epoch). Any DDL — including
@@ -46,7 +47,8 @@ use crate::exec::select::{
     split_equi_join,
 };
 use crate::expr::RowSchema;
-use crate::storage::{RowId, Table};
+use crate::storage::{Row, RowId, Table};
+use crate::sync::TableLock;
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
 
@@ -215,41 +217,11 @@ pub struct UpdatePlan {
     assignments: Vec<(usize, BoundExpr)>,
 }
 
-impl UpdatePlan {
-    /// The target table, as written in the statement.
-    pub fn table_name(&self) -> &str {
-        &self.table
-    }
-
-    /// Does any filter or assignment expression run a subquery? If so
-    /// the statement must not take the fast single-table-guard path.
-    pub fn has_subquery(&self) -> bool {
-        self.filter
-            .as_ref()
-            .is_some_and(BoundExpr::contains_subquery)
-            || self.assignments.iter().any(|(_, e)| e.contains_subquery())
-    }
-}
-
 /// A compiled `DELETE`.
 #[derive(Debug)]
 pub struct DeletePlan {
     table: String,
     filter: Option<BoundExpr>,
-}
-
-impl DeletePlan {
-    /// The target table, as written in the statement.
-    pub fn table_name(&self) -> &str {
-        &self.table
-    }
-
-    /// Does the filter run a subquery? See [`UpdatePlan::has_subquery`].
-    pub fn has_subquery(&self) -> bool {
-        self.filter
-            .as_ref()
-            .is_some_and(BoundExpr::contains_subquery)
-    }
 }
 
 /// The result of compiling one statement against one catalog epoch.
@@ -756,8 +728,62 @@ pub(crate) fn bound_usize(
 // plain plan (`run_select_batched`) and the aggregate plan
 // (`run_agg_plan`) run batch-at-a-time over borrowed storage rows.
 
+/// One row change a DML statement's collect phase decided on.
+pub(crate) enum RowChange {
+    Insert(Row),
+    Update(RowId, Row),
+    Delete(RowId),
+}
+
+/// Run a DML statement's two phases against `table`. `collect` decides
+/// the row changes, reading the table (if it needs to) under a shared
+/// guard — subqueries may re-read this very table, or read others —
+/// against an immutable view, so an `UPDATE` never matches its own
+/// output (the Halloween problem). The changes then apply under the
+/// exclusive guard, each recording its undo entry for statement
+/// atomicity. The guard gap is harmless: the caller holds the table's
+/// statement mutex (or the exclusive catalog-shape lock), so no other
+/// writer slips in between, and readers cannot see the new versions
+/// until the statement's stamp commits. This is the apply loop of every
+/// `INSERT`, `UPDATE` and `DELETE`.
+pub(crate) fn write_rows(
+    catalog: &Catalog,
+    table: &str,
+    undo: &mut UndoLog,
+    collect: impl FnOnce(&TableLock<Table>, &mut Evals) -> SqlResult<Vec<RowChange>>,
+) -> SqlResult<usize> {
+    let lock = catalog.table_lock(table)?;
+    let mut evals = Evals(0);
+    let changes = collect(lock, &mut evals)?;
+    let mut t = lock.write();
+    let n = changes.len();
+    for change in changes {
+        let name = t.schema.name.clone();
+        undo.record(match change {
+            RowChange::Insert(row) => UndoOp::Insert {
+                row_id: t.insert(row)?,
+                table: name,
+            },
+            RowChange::Update(row_id, row) => UndoOp::Update {
+                old: t.update(row_id, row)?,
+                table: name,
+                row_id,
+            },
+            RowChange::Delete(row_id) => UndoOp::Delete {
+                row: t.delete(row_id)?,
+                table: name,
+                row_id,
+            },
+        });
+        catalog.fault_row_applied()?;
+    }
+    drop(t);
+    catalog.note_bound_evals(evals.0);
+    Ok(n)
+}
+
 /// Collect phase of a compiled `UPDATE`: evaluate filter + assignments
-/// against an immutable snapshot (avoiding the Halloween problem).
+/// for every matching row.
 fn collect_update(
     catalog: &Catalog,
     table: &Table,
@@ -765,7 +791,7 @@ fn collect_update(
     params: &[Value],
     named_params: &HashMap<String, Value>,
     evals: &mut Evals,
-) -> SqlResult<Vec<(RowId, Vec<Value>)>> {
+) -> SqlResult<Vec<RowChange>> {
     let ctx = BoundCtx {
         catalog,
         params,
@@ -791,40 +817,13 @@ fn collect_update(
         for (pos, e) in &plan.assignments {
             new_row[*pos] = evals.eval(e, &rc)?;
         }
-        changes.push((id, new_row));
+        changes.push(RowChange::Update(id, new_row));
     }
     catalog.note_full_scan_rows(walked);
     Ok(changes)
 }
 
-/// Apply phase of a compiled `UPDATE`: write the precomputed rows under
-/// the caller's exclusive table guard, recording undo for atomicity.
-fn apply_update(
-    catalog: &Catalog,
-    table: &mut Table,
-    changes: Vec<(RowId, Vec<Value>)>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
-    let mut n = 0;
-    for (id, new_row) in changes {
-        let old = table.update(id, new_row)?;
-        undo.record(UndoOp::Update {
-            table: table_name.clone(),
-            row_id: id,
-            old,
-        });
-        n += 1;
-        catalog.fault_row_applied()?;
-    }
-    Ok(n)
-}
-
-/// Execute a bound `UPDATE` in two phases: collect
-/// under a shared table guard (subqueries in the filter may re-read this
-/// very table), then apply under the exclusive guard. The guard gap is
-/// harmless: this path runs with the catalog-shape lock held exclusively,
-/// so no other statement can slip in between.
+/// Execute a bound `UPDATE` (see [`write_rows`]).
 pub fn run_update_plan(
     catalog: &Catalog,
     plan: &UpdatePlan,
@@ -832,40 +831,12 @@ pub fn run_update_plan(
     named_params: &HashMap<String, Value>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let changes = {
-        let table = catalog.table(&plan.table)?;
-        collect_update(catalog, &table, plan, params, named_params, &mut evals)?
-    };
-    let mut table = catalog.table_mut(&plan.table)?;
-    let n = apply_update(catalog, &mut table, changes, undo)?;
-    drop(table);
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
+    write_rows(catalog, &plan.table, undo, |table, evals| {
+        collect_update(catalog, &table.read(), plan, params, named_params, evals)
+    })
 }
 
-/// Fast-path variant of [`run_update_plan`]: both phases run against a
-/// table guard the *caller* already holds, so the whole statement is one
-/// atomic unit even under the shared catalog-shape lock. Callers must
-/// have checked [`UpdatePlan::has_subquery`] — a subquery would re-enter
-/// the catalog's table map and self-deadlock on the held guard.
-pub fn run_update_plan_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    plan: &UpdatePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let changes = collect_update(catalog, table, plan, params, named_params, &mut evals)?;
-    let n = apply_update(catalog, table, changes, undo)?;
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
-}
-
-/// Collect phase of a compiled `DELETE`: gather victim row ids against
-/// an immutable snapshot.
+/// Collect phase of a compiled `DELETE`: every matching row's id.
 fn collect_delete(
     catalog: &Catalog,
     table: &Table,
@@ -873,7 +844,7 @@ fn collect_delete(
     params: &[Value],
     named_params: &HashMap<String, Value>,
     evals: &mut Evals,
-) -> SqlResult<Vec<RowId>> {
+) -> SqlResult<Vec<RowChange>> {
     let ctx = BoundCtx {
         catalog,
         params,
@@ -895,37 +866,14 @@ fn collect_delete(
             None => true,
         };
         if hit {
-            out.push(id);
+            out.push(RowChange::Delete(id));
         }
     }
     catalog.note_full_scan_rows(walked);
     Ok(out)
 }
 
-/// Apply phase of a compiled `DELETE` under the caller's table guard.
-fn apply_delete(
-    catalog: &Catalog,
-    table: &mut Table,
-    victims: Vec<RowId>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let table_name = table.schema.name.clone();
-    let mut n = 0;
-    for id in victims {
-        let row = table.delete(id)?;
-        undo.record(UndoOp::Delete {
-            table: table_name.clone(),
-            row_id: id,
-            row,
-        });
-        n += 1;
-        catalog.fault_row_applied()?;
-    }
-    Ok(n)
-}
-
-/// Execute a bound `DELETE` in two phases (see [`run_update_plan`] for
-/// the guard discipline).
+/// Execute a bound `DELETE` (see [`write_rows`]).
 pub fn run_delete_plan(
     catalog: &Catalog,
     plan: &DeletePlan,
@@ -933,31 +881,7 @@ pub fn run_delete_plan(
     named_params: &HashMap<String, Value>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let victims = {
-        let table = catalog.table(&plan.table)?;
-        collect_delete(catalog, &table, plan, params, named_params, &mut evals)?
-    };
-    let mut table = catalog.table_mut(&plan.table)?;
-    let n = apply_delete(catalog, &mut table, victims, undo)?;
-    drop(table);
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
-}
-
-/// Fast-path variant of [`run_delete_plan`] against a held table guard;
-/// see [`run_update_plan_on`] for the subquery-freedom requirement.
-pub fn run_delete_plan_on(
-    catalog: &Catalog,
-    table: &mut Table,
-    plan: &DeletePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-    undo: &mut UndoLog,
-) -> SqlResult<usize> {
-    let mut evals = Evals(0);
-    let victims = collect_delete(catalog, table, plan, params, named_params, &mut evals)?;
-    let n = apply_delete(catalog, table, victims, undo)?;
-    catalog.note_bound_evals(evals.0);
-    Ok(n)
+    write_rows(catalog, &plan.table, undo, |table, evals| {
+        collect_delete(catalog, &table.read(), plan, params, named_params, evals)
+    })
 }

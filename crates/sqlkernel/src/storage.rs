@@ -281,8 +281,8 @@ impl Chain {
 /// parallel vector of chain slots, so a scan is a linear walk with no
 /// tree hops. Ids are handed out monotonically, so inserts append; while
 /// the ids are contiguous a lookup is the offset `id - first_id`,
-/// otherwise a binary search. An out-of-order id (a `restore` or
-/// `raw_replace` of an id that is no longer held) is inserted in place.
+/// otherwise a binary search. An out-of-order id (a `restore` of an id
+/// that is no longer held) is inserted in place.
 ///
 /// Removing a chain only vacates its slot, keeping ids, positions and
 /// contiguity put, so an undo that re-inserts the id refills the slot in
@@ -478,8 +478,9 @@ impl Index {
         self.map.len()
     }
 
-    /// Translate `lookup_range`-style bounds into `BTreeMap::range`
-    /// bounds, or `None` when the range is provably empty.
+    /// Translate [`Table::index_range_entries`] bounds into
+    /// `BTreeMap::range` bounds, or `None` when the range is provably
+    /// empty.
     fn range_bounds(
         lower: Option<(&Value, bool)>,
         upper: Option<(&Value, bool)>,
@@ -512,44 +513,6 @@ impl Index {
             None => Bound::Unbounded,
         };
         Some((start, end))
-    }
-
-    /// Row ids whose (single-column) key falls within the given bounds,
-    /// emitted in key order — descending when `rev`. Each bound is
-    /// `(value, inclusive)`; `None` means unbounded on that side.
-    ///
-    /// SQL comparison semantics: a NULL bound compares UNKNOWN against
-    /// every key, so the range is empty. NULL *keys* never satisfy a
-    /// comparison predicate either, so an unbounded-from-below range
-    /// excludes them — unless `include_null_keys` is set, which the
-    /// executor uses for pure ORDER BY (no range predicate) walks where
-    /// NULL keys must appear in their NULLS-first sort position.
-    ///
-    /// Within one key, row ids come out ascending even when `rev`: the
-    /// interpreted path's stable sort preserves scan order (ascending row
-    /// id) among equal keys, and index emission must match it exactly.
-    pub fn lookup_range(
-        &self,
-        lower: Option<(&Value, bool)>,
-        upper: Option<(&Value, bool)>,
-        rev: bool,
-        include_null_keys: bool,
-    ) -> Vec<RowId> {
-        let Some(bounds) = Index::range_bounds(lower, upper, include_null_keys) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let entries = self.map.range(bounds);
-        if rev {
-            for (_, ids) in entries.rev() {
-                out.extend(ids.iter().copied());
-            }
-        } else {
-            for (_, ids) in entries {
-                out.extend(ids.iter().copied());
-            }
-        }
-        out
     }
 }
 
@@ -753,11 +716,27 @@ impl Table {
         out
     }
 
-    /// Visibility-aware range walk over a (single-column) index: bounds
-    /// and ordering exactly as [`Index::lookup_range`], but each candidate
-    /// resolves through the installed snapshot and must carry the entry
-    /// key it was found under (so a row whose key changed after the
-    /// snapshot neither vanishes nor appears twice).
+    /// Visibility-aware range walk over a (single-column) index: the rows
+    /// whose key falls within the given bounds, emitted in key order — descending when `rev`. Each bound is
+    /// `(value, inclusive)`; `None` means unbounded on that side.
+    ///
+    /// SQL comparison semantics: a NULL bound compares UNKNOWN against
+    /// every key, so the range is empty. NULL *keys* never satisfy a
+    /// comparison predicate either, so an unbounded-from-below range
+    /// excludes them — unless `include_null_keys` is set, which the
+    /// executor uses for pure ORDER BY (no range predicate) walks where
+    /// NULL keys must appear in their NULLS-first sort position.
+    ///
+    /// Within one key, row ids come out ascending even when `rev`: the
+    /// interpreted path's stable sort preserves scan order (ascending row
+    /// id) among equal keys, and index emission must match it exactly.
+    ///
+    /// Each candidate resolves through the installed snapshot and must
+    /// carry the entry key it was found under (so a row whose key changed
+    /// after the snapshot neither vanishes nor appears twice). `limit`
+    /// stops the walk once that many rows are emitted — the bounded
+    /// `ORDER BY … LIMIT` walk — so its result is the prefix of the
+    /// unbounded one.
     pub fn index_range_entries<'t>(
         &'t self,
         idx: &'t Index,
@@ -765,14 +744,25 @@ impl Table {
         upper: Option<(&Value, bool)>,
         rev: bool,
         include_null_keys: bool,
+        limit: Option<usize>,
     ) -> Vec<(RowId, &'t Arc<Row>)> {
+        let limit = limit.unwrap_or(usize::MAX);
         let Some(bounds) = Index::range_bounds(lower, upper, include_null_keys) else {
             return Vec::new();
         };
         let snap = current_snapshot();
         let mut out = Vec::new();
-        let mut emit = |key: &SortKey, ids: &BTreeSet<RowId>| {
+        let entries = idx.map.range(bounds);
+        let keys: Box<dyn Iterator<Item = (&SortKey, &BTreeSet<RowId>)>> = if rev {
+            Box::new(entries.rev())
+        } else {
+            Box::new(entries)
+        };
+        for (key, ids) in keys {
             for &id in ids {
+                if out.len() >= limit {
+                    return out;
+                }
                 let Some(chain) = self.rows.get(id) else {
                     continue;
                 };
@@ -784,16 +774,6 @@ impl Table {
                     continue;
                 }
                 out.push((id, row));
-            }
-        };
-        let entries = idx.map.range(bounds);
-        if rev {
-            for (key, ids) in entries.rev() {
-                emit(key, ids);
-            }
-        } else {
-            for (key, ids) in entries {
-                emit(key, ids);
             }
         }
         out
@@ -852,8 +832,11 @@ impl Table {
         Ok(id)
     }
 
-    /// Re-insert a row under a specific id (undo of delete; recovery).
-    /// Flat-mode physical restore: replaces the whole chain.
+    /// Put a row under a specific id without constraint checks or
+    /// normalization — undo of a delete or of a flat update, and WAL
+    /// redo/undo, where the restored state is known-valid. Flat-mode
+    /// physical restore: replaces the whole chain, and keeps the
+    /// allocator past `id` so a later insert never lands on it.
     pub fn restore(&mut self, id: RowId, row: Row) {
         self.drop_chain_entries(id);
         let was_live = self.rows.get(id).is_some_and(Chain::top_is_live);
@@ -949,22 +932,6 @@ impl Table {
             mvcc.versions_gced.fetch_add(gced, AtomicOrd::Relaxed);
         }
         Ok(unshare_row(old))
-    }
-
-    /// Replace the row at `id` without constraint checks or normalization.
-    /// Only for undo/redo application, where the restored state is
-    /// known-valid. Flat-mode physical replace (whole chain).
-    pub fn raw_replace(&mut self, id: RowId, row: Row) {
-        self.drop_chain_entries(id);
-        let was_live = self.rows.get(id).is_some_and(Chain::top_is_live);
-        for idx in &mut self.indexes {
-            idx.add_entry(&row, id);
-        }
-        self.rows
-            .put(id, Chain::single(bootstrap_stamp(), Arc::new(row)));
-        if !was_live {
-            self.live += 1;
-        }
     }
 
     /// Delete the row at `id`, returning it. Flat mode removes the chain;
@@ -1676,7 +1643,7 @@ mod tests {
                 .index_eq_entries(idx, &SortKey(vec![Value::text("z")]))
                 .is_empty());
             // Range walk emits each visible row exactly once.
-            let all = t.index_range_entries(idx, None, None, false, true);
+            let all = t.index_range_entries(idx, None, None, false, true, None);
             assert_eq!(all.len(), 2);
         }
         // New snapshot: new key only.
@@ -1692,7 +1659,7 @@ mod tests {
                     .len(),
                 1
             );
-            let all = t.index_range_entries(idx, None, None, false, true);
+            let all = t.index_range_entries(idx, None, None, false, true, None);
             assert_eq!(all.len(), 2);
         }
     }

@@ -96,22 +96,22 @@ struct TableLockState {
     /// Is a writer currently admitted?
     writer: bool,
     /// Writers queued for admission. *Fresh* readers wait behind them
-    /// (starvation gate); readers that already hold this lock do not
-    /// (recursion safety).
+    /// (starvation gate); readers that already hold a table read guard
+    /// do not (recursion and cycle safety).
     writers_waiting: usize,
+    /// Threads blocked on the admission condvar. A release with none
+    /// skips the wake-up, which is a system call even when nobody waits.
+    sleepers: usize,
 }
 
 thread_local! {
-    /// Read-guard hold counts per lock (keyed by the lock's address) for
-    /// the calling thread. Lets [`TableLock::read`] distinguish a
-    /// recursive re-read — which must bypass the pending-writer gate to
-    /// stay deadlock-free — from a fresh reader, which yields to queued
-    /// writers. Addresses are stable keys here: an entry exists only
-    /// while the thread holds a guard, and a guard pins its lock in
-    /// place (the catalog shape lock prevents the table from being
-    /// dropped or moved while any statement uses it).
-    static READ_HOLDS: std::cell::RefCell<std::collections::HashMap<usize, usize>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
+    /// Table read guards the calling thread holds. Lets
+    /// [`TableLock::read`] tell a nested read — made while the thread
+    /// already holds a table read guard, which must bypass the
+    /// pending-writer gate to stay deadlock-free — from a fresh reader,
+    /// which yields to queued writers. Guards are `!Send`, so each one
+    /// is counted and released on the same thread.
+    static READ_HOLDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// A *reader-preference* reader-writer lock for per-table data.
@@ -124,13 +124,18 @@ thread_local! {
 /// control — a mutex + condvar — in front of an internal `RwLock` that
 /// is never contended in the dangerous way:
 ///
-/// * readers *already holding* a guard on this lock are admitted whenever
-///   no writer is **active**, so recursive read acquisition is always
-///   safe;
-/// * **fresh** readers additionally wait while a writer is *queued* — the
-///   pending-writer gate — so a continuous reader stream cannot starve a
-///   writer: at most the readers admitted before the writer queued run
-///   ahead of it;
+/// * readers *already holding* a read guard — on this lock or on any
+///   other table lock — are admitted whenever no writer is **active**,
+///   so recursive read acquisition is always safe, and so are nested
+///   reads across tables (a scan of `a` evaluating a subquery over `b`):
+///   gating those could close a wait cycle, with a writer queued on `a`
+///   waiting for a reader that holds `a` and waits behind a writer
+///   queued on `b`, which waits for a reader that holds `b` and waits
+///   behind the first writer;
+/// * **fresh** readers (holding no table guard) additionally wait while
+///   a writer is *queued* — the pending-writer gate — so a continuous
+///   reader stream cannot starve a writer: at most the readers admitted
+///   before the writer queued, and their nested reads, run ahead of it;
 /// * a writer is admitted only once `readers == 0`, at which point the
 ///   internal data lock is free, so its `write()` succeeds immediately.
 ///
@@ -160,22 +165,18 @@ impl<T> TableLock<T> {
         self.data.into_inner()
     }
 
-    /// Acquire a shared read guard. A thread already holding a read guard
-    /// on this lock is re-admitted past *waiting* writers (recursion
+    /// Acquire a shared read guard. A thread already holding a table read
+    /// guard is admitted past *waiting* writers (recursion and cycle
     /// safety); a fresh reader yields to them (starvation gate).
     pub fn read(&self) -> TableReadGuard<'_, T> {
-        let lock_key = self as *const TableLock<T> as usize;
-        let recursive = READ_HOLDS.with(|h| h.borrow().get(&lock_key).copied().unwrap_or(0) > 0);
+        let nested = READ_HOLDS.get() > 0;
         let mut state = self.state.lock();
-        while state.writer || (!recursive && state.writers_waiting > 0) {
-            state = self
-                .admitted
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        while state.writer || (!nested && state.writers_waiting > 0) {
+            state = self.wait(state);
         }
         state.readers += 1;
         drop(state);
-        READ_HOLDS.with(|h| *h.borrow_mut().entry(lock_key).or_insert(0) += 1);
+        READ_HOLDS.set(READ_HOLDS.get() + 1);
         // No writer is admitted while readers > 0, so this cannot block.
         TableReadGuard {
             lock: self,
@@ -189,10 +190,7 @@ impl<T> TableLock<T> {
         let mut state = self.state.lock();
         state.writers_waiting += 1;
         while state.writer || state.readers > 0 {
-            state = self
-                .admitted
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = self.wait(state);
         }
         state.writers_waiting -= 1;
         state.writer = true;
@@ -208,6 +206,29 @@ impl<T> TableLock<T> {
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()
+    }
+
+    /// Sleep until an admission change is announced, counted as a sleeper.
+    fn wait<'g>(
+        &self,
+        mut state: MutexGuard<'g, TableLockState>,
+    ) -> MutexGuard<'g, TableLockState> {
+        state.sleepers += 1;
+        let mut state = self
+            .admitted
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.sleepers -= 1;
+        state
+    }
+
+    /// Release the admission state, waking the sleepers if there are any.
+    fn announce(&self, state: MutexGuard<'_, TableLockState>) {
+        let wake = state.sleepers > 0;
+        drop(state);
+        if wake {
+            self.admitted.notify_all();
+        }
     }
 }
 
@@ -230,21 +251,11 @@ impl<T> Drop for TableReadGuard<'_, T> {
         // Release the data lock *before* the admission slot: a writer
         // admitted by the decrement must find the data lock free.
         self.guard.take();
-        let lock_key = self.lock as *const TableLock<T> as usize;
-        READ_HOLDS.with(|h| {
-            let mut h = h.borrow_mut();
-            if let Some(n) = h.get_mut(&lock_key) {
-                *n -= 1;
-                if *n == 0 {
-                    h.remove(&lock_key);
-                }
-            }
-        });
+        READ_HOLDS.set(READ_HOLDS.get() - 1);
         let mut state = self.lock.state.lock();
         state.readers -= 1;
         if state.readers == 0 {
-            drop(state);
-            self.lock.admitted.notify_all();
+            self.lock.announce(state);
         }
     }
 }
@@ -274,8 +285,7 @@ impl<T> Drop for TableWriteGuard<'_, T> {
         self.guard.take();
         let mut state = self.lock.state.lock();
         state.writer = false;
-        drop(state);
-        self.lock.admitted.notify_all();
+        self.lock.announce(state);
     }
 }
 
@@ -361,6 +371,33 @@ mod tests {
         drop(second);
         writer.join().unwrap();
         assert_eq!(*l.read(), 1);
+    }
+
+    #[test]
+    fn table_lock_nested_read_of_another_lock_survives_waiting_writer() {
+        // A thread holding a guard on `a` reads `b` while a writer is
+        // queued on `b` behind another reader. The nested read must be
+        // admitted: gating it could close a cycle with a writer queued on
+        // `a` that waits for this very thread.
+        let a = TableLock::new(0u32);
+        let b = &TableLock::new(0u32);
+        let (held, held_rx) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _g = b.read();
+                held.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+            held_rx.recv().unwrap();
+            s.spawn(move || *b.write() += 1);
+            // Give the writer time to queue behind the holder.
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            let ga = a.read();
+            assert_eq!(*ga + *b.read(), 0, "nested read waited for the writer");
+            release.send(()).unwrap();
+        });
+        assert_eq!(*b.read(), 1);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl UndoLog {
         }
     }
 
-    /// This log's version stamp, if any.
-    pub fn stamp(&self) -> Option<&TxnStamp> {
-        self.stamp.as_ref()
-    }
-
     /// Record one entry.
     pub fn record(&mut self, op: UndoOp) {
         self.ops.push(op);
@@ -122,30 +117,15 @@ impl UndoLog {
         self.ops.extend(other.ops);
     }
 
-    /// Roll back a statement log whose entries are all row operations on
-    /// the caller's held table — the fast path's rollback, which must not
-    /// re-enter the catalog's table map while its guard is held. Non-row
-    /// entries cannot occur on that path (DDL never takes it).
-    pub fn rollback_on_table(self, table: &mut Table) {
+    /// Roll back a statement log whose entries are all row operations — a
+    /// DML statement running under the shared catalog-shape lock, which
+    /// cannot hand out `&mut Catalog`. Each entry re-takes its table's
+    /// exclusive guard through [`undo_row`]; the statement holds no guard
+    /// of its own by the time it rolls back.
+    pub fn rollback_rows(self, catalog: &Catalog) {
         let stamp = self.stamp;
         for op in self.ops.into_iter().rev() {
-            match op {
-                UndoOp::Insert { row_id, .. } => match &stamp {
-                    Some(s) => table.undo_insert(row_id, s),
-                    None => {
-                        let _ = table.delete(row_id);
-                    }
-                },
-                UndoOp::Delete { row_id, row, .. } => match &stamp {
-                    Some(s) => table.undo_delete(row_id, s),
-                    None => table.restore(row_id, row),
-                },
-                UndoOp::Update { row_id, old, .. } => match &stamp {
-                    Some(s) => table.undo_update(row_id, s),
-                    None => table.raw_replace(row_id, old),
-                },
-                _ => debug_assert!(false, "fast-path undo log holds only row ops"),
-            }
+            undo_row(catalog, op, stamp.as_ref());
         }
     }
 
@@ -159,31 +139,8 @@ impl UndoLog {
         let stamp = self.stamp;
         for op in self.ops.into_iter().rev() {
             match op {
-                UndoOp::Insert { table, row_id } => {
-                    if let Ok(mut t) = catalog.table_mut(&table) {
-                        match &stamp {
-                            Some(s) => t.undo_insert(row_id, s),
-                            None => {
-                                let _ = t.delete(row_id);
-                            }
-                        }
-                    }
-                }
-                UndoOp::Delete { table, row_id, row } => {
-                    if let Ok(mut t) = catalog.table_mut(&table) {
-                        match &stamp {
-                            Some(s) => t.undo_delete(row_id, s),
-                            None => t.restore(row_id, row),
-                        }
-                    }
-                }
-                UndoOp::Update { table, row_id, old } => {
-                    if let Ok(mut t) = catalog.table_mut(&table) {
-                        match &stamp {
-                            Some(s) => t.undo_update(row_id, s),
-                            None => t.raw_replace(row_id, old),
-                        }
-                    }
+                op @ (UndoOp::Insert { .. } | UndoOp::Delete { .. } | UndoOp::Update { .. }) => {
+                    undo_row(catalog, op, stamp.as_ref());
                 }
                 UndoOp::CreateTable { name } => {
                     let _ = catalog.remove_table(&name);
@@ -236,6 +193,34 @@ impl UndoLog {
                 }
             }
         }
+    }
+}
+
+/// Undo one row entry under its table's exclusive guard: remove exactly
+/// the version `stamp` pushed, or — stampless (recovery, direct-table
+/// tests) — apply flat physical compensation. The one per-op row undo,
+/// shared by statement and transaction rollback.
+fn undo_row(catalog: &Catalog, op: UndoOp, stamp: Option<&TxnStamp>) {
+    let (UndoOp::Insert { table, .. }
+    | UndoOp::Delete { table, .. }
+    | UndoOp::Update { table, .. }) = &op
+    else {
+        debug_assert!(false, "undo_row takes only row entries");
+        return;
+    };
+    let Ok(mut t) = catalog.table_mut(table) else {
+        return;
+    };
+    match (op, stamp) {
+        (UndoOp::Insert { row_id, .. }, Some(s)) => t.undo_insert(row_id, s),
+        (UndoOp::Insert { row_id, .. }, None) => {
+            let _ = t.delete(row_id);
+        }
+        (UndoOp::Delete { row_id, .. }, Some(s)) => t.undo_delete(row_id, s),
+        (UndoOp::Delete { row_id, row, .. }, None) => t.restore(row_id, row),
+        (UndoOp::Update { row_id, .. }, Some(s)) => t.undo_update(row_id, s),
+        (UndoOp::Update { row_id, old, .. }, None) => t.restore(row_id, old),
+        _ => {}
     }
 }
 

@@ -60,7 +60,7 @@ use crate::error::{SqlError, SqlResult};
 use crate::fault::crashed_error;
 use crate::schema::{Column, TableSchema};
 use crate::storage::{Row, RowId, Table};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, TableReadGuard};
 use crate::txn::UndoOp;
 use crate::types::{DataType, Value};
 
@@ -885,16 +885,31 @@ pub fn scan(bytes: &[u8]) -> ScannedLog {
 
 // ------------------------------------------------------------ op derivation
 
-fn row_of(catalog: &Catalog, table: &str, row_id: RowId) -> Option<Row> {
-    let t = catalog.table(table).ok()?;
-    t.get(row_id).map(|arc| (**arc).clone())
+/// Shared guard on the table of the current run of undo entries. A DML
+/// statement writes only its target table, so its whole log resolves
+/// that table once instead of once per row entry.
+struct RunTable<'c, 'u> {
+    catalog: &'c Catalog,
+    held: Option<(&'u str, Option<TableReadGuard<'c, Table>>)>,
 }
 
-fn is_temp(catalog: &Catalog, table: &str) -> bool {
-    catalog
-        .table(table)
-        .map(|t| t.schema.temporary)
-        .unwrap_or(false)
+impl<'u> RunTable<'_, 'u> {
+    fn get(&mut self, name: &'u str) -> Option<&Table> {
+        if self.held.as_ref().is_none_or(|(held, _)| *held != name) {
+            self.held = Some((name, self.catalog.table(name).ok()));
+        }
+        self.held.as_ref().and_then(|(_, t)| t.as_deref())
+    }
+
+    fn is_temp(&mut self, name: &'u str) -> bool {
+        self.get(name).is_some_and(|t| t.schema.temporary)
+    }
+
+    /// The row's newest version, unless the table is temporary or gone.
+    fn after_image(&mut self, name: &'u str, row_id: RowId) -> Option<Row> {
+        let t = self.get(name).filter(|t| !t.schema.temporary)?;
+        t.get(row_id).map(|r| (**r).clone())
+    }
 }
 
 fn index_defs_of(catalog: &Catalog, table: &Table) -> Vec<IndexDef> {
@@ -941,20 +956,23 @@ pub fn snapshot_catalog(catalog: &Catalog) -> CheckpointSnapshot {
 }
 
 /// Derive redo records from a successful statement's scratch undo log.
-/// Must run while the statement's catalog lock is still held, so the
-/// after-images read here are exactly what the statement produced.
+/// Must run while the statement still excludes every other writer of
+/// the tables it wrote (the exclusive catalog-shape lock, or the target
+/// table's statement mutex), so the after-images read here are exactly
+/// what the statement produced.
 ///
 /// Views and stored procedures are skipped (not crash-durable), as is
 /// anything touching a temporary table.
 pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
     let mut out = Vec::with_capacity(undo_ops.len());
+    let mut run = RunTable {
+        catalog,
+        held: None,
+    };
     for op in undo_ops {
         match op {
             UndoOp::Insert { table, row_id } => {
-                if is_temp(catalog, table) {
-                    continue;
-                }
-                if let Some(after) = row_of(catalog, table, *row_id) {
+                if let Some(after) = run.after_image(table, *row_id) {
                     out.push(WalOp::Insert {
                         table: table.clone(),
                         row_id: *row_id,
@@ -963,10 +981,7 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                 }
             }
             UndoOp::Update { table, row_id, old } => {
-                if is_temp(catalog, table) {
-                    continue;
-                }
-                if let Some(after) = row_of(catalog, table, *row_id) {
+                if let Some(after) = run.after_image(table, *row_id) {
                     out.push(WalOp::Update {
                         table: table.clone(),
                         row_id: *row_id,
@@ -976,7 +991,7 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                 }
             }
             UndoOp::Delete { table, row_id, row } => {
-                if is_temp(catalog, table) {
+                if run.is_temp(table) {
                     continue;
                 }
                 out.push(WalOp::Delete {
@@ -1022,10 +1037,7 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                 });
             }
             UndoOp::CreateIndex { table, index } => {
-                if is_temp(catalog, table) {
-                    continue;
-                }
-                if let Ok(t) = catalog.table(table) {
+                if let Some(t) = run.get(table).filter(|t| !t.schema.temporary) {
                     if let Some(i) = t.index_iter().find(|i| i.name.eq_ignore_ascii_case(index)) {
                         out.push(WalOp::CreateIndex {
                             table: table.clone(),
@@ -1040,7 +1052,7 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                 }
             }
             UndoOp::DropIndex { table, index } => {
-                if is_temp(catalog, table) {
+                if run.is_temp(table) {
                     continue;
                 }
                 out.push(WalOp::DropIndex {
@@ -1078,62 +1090,6 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
             // No redo needed: the Commit record's sequence snapshot
             // carries the cursor; draws only matter for in-memory undo.
             UndoOp::SequenceDraw { .. } => {}
-        }
-    }
-    out
-}
-
-/// Fast-path variant of [`ops_from_undo`]: the after-images are read
-/// from the caller's *held* table guard instead of re-entering the
-/// catalog's table map (which would self-deadlock on the per-table
-/// lock). Only row operations can occur on that path — the fast path is
-/// restricted to single-table, subquery-free DML — so any other entry is
-/// a logic error.
-pub fn ops_from_undo_on(table: &Table, undo_ops: &[UndoOp]) -> Vec<WalOp> {
-    if table.schema.temporary {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(undo_ops.len());
-    for op in undo_ops {
-        match op {
-            UndoOp::Insert {
-                table: name,
-                row_id,
-            } => {
-                if let Some(after) = table.get(*row_id) {
-                    out.push(WalOp::Insert {
-                        table: name.clone(),
-                        row_id: *row_id,
-                        after: (**after).clone(),
-                    });
-                }
-            }
-            UndoOp::Update {
-                table: name,
-                row_id,
-                old,
-            } => {
-                if let Some(after) = table.get(*row_id) {
-                    out.push(WalOp::Update {
-                        table: name.clone(),
-                        row_id: *row_id,
-                        before: old.clone(),
-                        after: (**after).clone(),
-                    });
-                }
-            }
-            UndoOp::Delete {
-                table: name,
-                row_id,
-                row,
-            } => {
-                out.push(WalOp::Delete {
-                    table: name.clone(),
-                    row_id: *row_id,
-                    before: row.clone(),
-                });
-            }
-            _ => debug_assert!(false, "fast-path undo log holds only row ops"),
         }
     }
     out
@@ -1195,19 +1151,15 @@ pub(crate) fn apply_redo(catalog: &mut Catalog, op: &WalOp) {
             table,
             row_id,
             after,
-        } => {
-            if let Ok(mut t) = catalog.table_mut(table) {
-                t.restore(*row_id, after.clone());
-            }
         }
-        WalOp::Update {
+        | WalOp::Update {
             table,
             row_id,
             after,
             ..
         } => {
             if let Ok(mut t) = catalog.table_mut(table) {
-                t.raw_replace(*row_id, after.clone());
+                t.restore(*row_id, after.clone());
             }
         }
         WalOp::Delete { table, row_id, .. } => {
@@ -1264,12 +1216,8 @@ fn apply_undo(catalog: &mut Catalog, op: &WalOp) {
             row_id,
             before,
             ..
-        } => {
-            if let Ok(mut t) = catalog.table_mut(table) {
-                t.raw_replace(*row_id, before.clone());
-            }
         }
-        WalOp::Delete {
+        | WalOp::Delete {
             table,
             row_id,
             before,

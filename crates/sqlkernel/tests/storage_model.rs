@@ -1,10 +1,12 @@
 //! Model test for `Table` row storage: seeded random sequences of
-//! insert/update/delete/`restore`/`raw_replace`/`undo_*`/`gc_versions`,
-//! in flat mode and under snapshots, checked after every step against a
+//! insert, update, delete, `restore` (of fresh and of held ids),
+//! `undo_*` and `gc_versions`, in flat mode and under snapshots,
+//! checked after every step against a
 //! `BTreeMap<RowId, Vec<(txn, Option<Row>)>>` of version lists. Every
 //! read surface — `iter`/`scan` order, `get`, `get_visible`,
-//! `index_eq_entries`, `len`, `version_count` and the GC counter — must
-//! match the model exactly.
+//! `index_eq_entries`, the whole and the bounded `index_range_entries`
+//! walks, `len`, `version_count` and the GC counter — must match the
+//! model exactly.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -177,6 +179,33 @@ fn check_view(t: &Table, m: &Model, view: View, probes: &[RowId], probe_key: i64
         .copied()
         .collect();
     assert_eq!(hits, want_hits, "{ctx}: index_eq_entries under {view:?}");
+    // Whole-index walks emit key order, ids ascending within a key; the
+    // bounded walk `ORDER BY k LIMIT n` takes is the unbounded one's
+    // first `n` rows (`probe_key` doubles as the limit).
+    for rev in [false, true] {
+        let mut want_walk = want.clone();
+        want_walk.sort_by(|(ia, ra), (ib, rb)| {
+            let by_key = ra[0].total_cmp(&rb[0]);
+            if rev { by_key.reverse() } else { by_key }.then(ia.cmp(ib))
+        });
+        let walk = |limit| -> Vec<(RowId, &Row)> {
+            t.index_range_entries(idx, None, None, rev, true, limit)
+                .into_iter()
+                .map(|(id, r)| (id, &**r))
+                .collect()
+        };
+        assert_eq!(
+            walk(None),
+            want_walk,
+            "{ctx}: index walk rev={rev} under {view:?}"
+        );
+        let n = (probe_key as usize).min(want_walk.len());
+        assert_eq!(
+            walk(Some(probe_key as usize)),
+            want_walk[..n],
+            "{ctx}: bounded index walk rev={rev} limit {probe_key} under {view:?}"
+        );
+    }
 }
 
 fn check(
@@ -230,8 +259,8 @@ fn restore_target(rng: &mut SplitMix64, m: &Model) -> RowId {
     .unwrap_or(m.next_row_id + rng.next_below(3))
 }
 
-/// An id that held a chain at some point (never past the allocator,
-/// which `raw_replace` does not move).
+/// An id that held a chain at some point, or the allocator's next id
+/// while none has.
 fn existing_target(rng: &mut SplitMix64, m: &Model) -> RowId {
     if m.next_row_id <= 1 {
         return 1;
@@ -291,8 +320,9 @@ fn run_flat(seed: u64, steps: usize) {
             }
             93..=97 => {
                 let row = random_row(&mut rng);
-                t.raw_replace(id, row.clone());
+                t.restore(id, row.clone());
                 m.chains.insert(id, vec![(BOOTSTRAP, Some(row))]);
+                m.next_row_id = m.next_row_id.max(id + 1);
             }
             _ => {
                 assert_eq!(t.gc_versions(u64::MAX), m.gc(u64::MAX), "{ctx}: gc");
@@ -304,7 +334,7 @@ fn run_flat(seed: u64, steps: usize) {
 
 /// Snapshot mode: one writer transaction at a time pushes versions under
 /// its stamp and commits or rolls back; reader snapshots come and go and
-/// pin the GC floor; physical `restore`/`raw_replace` and flat inserts
+/// pin the GC floor; physical `restore`s and flat inserts
 /// run between writers, as recovery and bootstrap do.
 fn run_versioned(seed: u64, steps: usize) {
     let mut rng = SplitMix64::new(seed);
@@ -417,8 +447,9 @@ fn run_versioned(seed: u64, steps: usize) {
             }
             (45..=54, None) => {
                 let row = random_row(&mut rng);
-                t.raw_replace(id, row.clone());
+                t.restore(id, row.clone());
                 m.chains.insert(id, vec![(BOOTSTRAP, Some(row))]);
+                m.next_row_id = m.next_row_id.max(id + 1);
             }
             (55..=74, None) if readers.len() < MAX_READERS => {
                 readers.push((

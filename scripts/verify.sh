@@ -65,6 +65,13 @@ BENCH_SMOKE=1 ./target/release/bench_joins >/dev/null
 # (execute_ast) and compiled (execute) results are byte-identical, and
 # that the range-scan and top-K access paths engaged.
 BENCH_SMOKE=1 ./target/release/bench_plan >/dev/null
+# bench_recovery's smoke asserts in-process that every recovered
+# database (full replay, and each checkpoint interval) has the writer's
+# fingerprint.
+BENCH_SMOKE=1 ./target/release/bench_recovery >/dev/null
+# bench_faults' smoke asserts in-process that every retry-wrapped
+# operation completed and that faults fired at the 1% and 10% rates.
+BENCH_SMOKE=1 ./target/release/bench_faults >/dev/null
 
 # The running-example instance benchmark is a package of its own (empty
 # [workspace]), so --workspace above does not reach it. Its smoke tests
