@@ -28,6 +28,7 @@ use crate::expr::{
     apply_binary_op, apply_negation, apply_unary_op, compare, in_membership, is_aggregate_name,
     like_match, scalar_function, three_and, value_to_three, RowSchema,
 };
+use crate::storage::{new_stamp, Snapshot};
 use crate::types::Value;
 
 /// An expression with column references resolved to ordinals.
@@ -108,13 +109,58 @@ impl BoundExpr {
     }
 }
 
-/// Everything a bound expression may need at evaluation time. There is
-/// no schema: positions were fixed at bind time.
+/// Everything a statement's evaluation may need: the catalog, the
+/// snapshot every row read and write of the statement resolves against,
+/// the parameters, and the current row. There is no schema: positions
+/// were fixed at bind time. Nested runs — subqueries, views, derived
+/// tables, `CALL` bodies — derive their context from the caller's, so
+/// they read under the same snapshot by construction.
 pub struct BoundCtx<'a> {
     pub catalog: &'a Catalog,
+    pub snapshot: &'a Snapshot,
     pub params: &'a [Value],
     pub named_params: &'a HashMap<String, Value>,
+    /// View-expansion nesting depth, bounded by `MAX_VIEW_NESTING`.
+    pub view_depth: u32,
     pub row: Option<&'a [Value]>,
+}
+
+/// Deepest view-expansion nesting a statement may reach; a recursive
+/// view definition hits it.
+const MAX_VIEW_NESTING: u32 = 16;
+
+impl<'a> BoundCtx<'a> {
+    /// A statement-level context: no row, no view expansion yet.
+    pub fn new(
+        catalog: &'a Catalog,
+        snapshot: &'a Snapshot,
+        params: &'a [Value],
+        named_params: &'a HashMap<String, Value>,
+    ) -> BoundCtx<'a> {
+        BoundCtx {
+            catalog,
+            snapshot,
+            params,
+            named_params,
+            view_depth: 0,
+            row: None,
+        }
+    }
+
+    /// The context a view's query runs in: one level deeper, erroring
+    /// once nesting passes `MAX_VIEW_NESTING` (a recursive view).
+    pub fn view_expansion(&self) -> SqlResult<BoundCtx<'a>> {
+        if self.view_depth >= MAX_VIEW_NESTING {
+            return Err(SqlError::Runtime(
+                "view expansion too deep (recursive view definition?)".into(),
+            ));
+        }
+        Ok(BoundCtx {
+            view_depth: self.view_depth + 1,
+            row: None,
+            ..*self
+        })
+    }
 }
 
 /// Resolve every column reference of `expr` against `schema` and fold
@@ -267,17 +313,22 @@ fn fold(node: BoundExpr) -> BoundExpr {
     if !foldable {
         return node;
     }
-    // A constant subtree needs no catalog, parameters, or row; a shared
-    // empty catalog satisfies the context. (NEXTVAL — the only
-    // catalog-dependent function — was excluded above.)
+    // A constant subtree needs no catalog, snapshot, parameters, or
+    // row; a shared empty catalog and snapshot satisfy the context.
+    // (NEXTVAL — the only catalog-dependent function — and subqueries —
+    // the only snapshot-dependent nodes — were excluded above.)
     static CATALOG: std::sync::OnceLock<Catalog> = std::sync::OnceLock::new();
+    static SNAPSHOT: std::sync::OnceLock<Snapshot> = std::sync::OnceLock::new();
     static EMPTY: std::sync::OnceLock<HashMap<String, Value>> = std::sync::OnceLock::new();
-    let ctx = BoundCtx {
-        catalog: CATALOG.get_or_init(Catalog::new),
-        params: &[],
-        named_params: EMPTY.get_or_init(HashMap::new),
-        row: None,
-    };
+    let ctx = BoundCtx::new(
+        CATALOG.get_or_init(Catalog::new),
+        SNAPSHOT.get_or_init(|| Snapshot {
+            ts: 0,
+            stamp: new_stamp(),
+        }),
+        &[],
+        EMPTY.get_or_init(HashMap::new),
+    );
     match eval_bound(&node, &ctx) {
         Ok(v) => BoundExpr::Const(v),
         Err(_) => node,
@@ -756,8 +807,9 @@ pub fn eval_bound_predicate(expr: &BoundExpr, ctx: &BoundCtx<'_>) -> SqlResult<b
 }
 
 fn run_subquery(stmt: &SelectStmt, ctx: &BoundCtx<'_>) -> SqlResult<crate::db::QueryResult> {
-    // Subqueries are uncorrelated: no outer row is passed down.
-    crate::exec::select::run_select(ctx.catalog, stmt, ctx.params, ctx.named_params)
+    // Subqueries are uncorrelated: `run_select` starts from no row. The
+    // snapshot and view depth carry through.
+    crate::exec::select::run_select(ctx, stmt)
 }
 
 #[cfg(test)]
@@ -775,12 +827,12 @@ mod tests {
         params: &'a [Value],
         named_params: &'a HashMap<String, Value>,
     ) -> BoundCtx<'a> {
-        BoundCtx {
-            catalog,
-            params,
-            named_params,
-            row: None,
-        }
+        static SNAPSHOT: std::sync::OnceLock<Snapshot> = std::sync::OnceLock::new();
+        let snapshot = SNAPSHOT.get_or_init(|| Snapshot {
+            ts: 1,
+            stamp: new_stamp(),
+        });
+        BoundCtx::new(catalog, snapshot, params, named_params)
     }
 
     /// Parse, bind against the empty schema, and evaluate once.
@@ -1022,12 +1074,7 @@ mod tests {
         assert!(b.const_value().is_none());
         let catalog = Catalog::new();
         let named = HashMap::new();
-        let ctx = BoundCtx {
-            catalog: &catalog,
-            params: &[],
-            named_params: &named,
-            row: None,
-        };
+        let ctx = ctx(&catalog, &[], &named);
         assert_eq!(eval_bound(&b, &ctx).unwrap_err().class(), "runtime");
     }
 
@@ -1036,12 +1083,7 @@ mod tests {
         let b = bind_const("FALSE AND (1 / 0 = 1)");
         let catalog = Catalog::new();
         let named = HashMap::new();
-        let ctx = BoundCtx {
-            catalog: &catalog,
-            params: &[],
-            named_params: &named,
-            row: None,
-        };
+        let ctx = ctx(&catalog, &[], &named);
         assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::Bool(false));
     }
 
@@ -1063,10 +1105,8 @@ mod tests {
         let named = HashMap::new();
         let row = vec![Value::Int(40), Value::Int(2)];
         let ctx = BoundCtx {
-            catalog: &catalog,
-            params: &[],
-            named_params: &named,
             row: Some(&row),
+            ..ctx(&catalog, &[], &named)
         };
         assert_eq!(eval_bound(&b, &ctx).unwrap(), Value::Int(42));
     }

@@ -1,7 +1,6 @@
 //! The catalog: all named objects of one database — tables, sequences,
 //! stored procedures — plus the index-name → table mapping.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -218,14 +217,6 @@ pub struct Catalog {
     /// Held here (in addition to the database facade) so the executor's
     /// row-apply loops — which only see the catalog — can reach it.
     fault: Option<Arc<FaultInjector>>,
-}
-
-thread_local! {
-    /// View-expansion nesting depth (guards against recursive views).
-    /// Thread-local rather than a catalog field: expansion is a per-query
-    /// (hence per-thread) property, and concurrent readers must not see
-    /// each other's nesting.
-    static VIEW_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 fn key(name: &str) -> String {
@@ -613,19 +604,6 @@ impl Catalog {
         names
     }
 
-    /// Enter a view expansion; the guard decrements on drop. Errors once
-    /// nesting exceeds a sanity bound (recursive view definitions).
-    pub fn enter_view(&self) -> SqlResult<ViewDepthGuard> {
-        let d = VIEW_DEPTH.get();
-        if d >= 16 {
-            return Err(SqlError::Runtime(
-                "view expansion too deep (recursive view definition?)".into(),
-            ));
-        }
-        VIEW_DEPTH.set(d + 1);
-        Ok(ViewDepthGuard { _private: () })
-    }
-
     // ------------------------------------------------------------- sequences
 
     /// Register a sequence.
@@ -721,18 +699,6 @@ impl Catalog {
     /// Does a procedure exist?
     pub fn has_procedure(&self, name: &str) -> bool {
         self.procedures.contains_key(&key(name))
-    }
-}
-
-/// RAII guard for view-expansion depth.
-pub struct ViewDepthGuard {
-    _private: (),
-}
-
-impl Drop for ViewDepthGuard {
-    fn drop(&mut self) {
-        let d = VIEW_DEPTH.get();
-        VIEW_DEPTH.set(d.saturating_sub(1));
     }
 }
 

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::ast::Statement;
+use crate::bound::BoundCtx;
 use crate::catalog::Catalog;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::dml::DmlPlan;
@@ -13,7 +14,7 @@ use crate::fault::{crashed_error, CrashPoint, FaultInjector, FaultPlan, PrepareC
 use crate::pager::{self, FilePageStore, PageStore, PagedEngine};
 use crate::parser::{parse_script, parse_statement};
 use crate::plan::CompiledPlan;
-use crate::storage::{enter_snapshot, new_stamp, MvccShared, Snapshot, SnapshotScope, TxnStamp};
+use crate::storage::{new_stamp, MvccShared, Snapshot, TxnStamp};
 use crate::sync::{Mutex, RwLock};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
@@ -1231,27 +1232,22 @@ impl std::fmt::Debug for Connection {
     }
 }
 
-/// RAII around one statement's MVCC snapshot. Installs the thread-local
-/// snapshot scope so storage resolves row visibility against it, and —
-/// for a per-statement (autocommit) snapshot — releases the registry
-/// entry on drop. Inert when the thread already runs under a snapshot
-/// (nested execution: CALL bodies, delegated interpreter runs): the
-/// outer scope rules, and this ctx merely reuses its stamp.
+/// One statement's MVCC snapshot. The statement passes `snapshot` down
+/// to every row read and write it makes (in its [`BoundCtx`]); those
+/// borrows end before this ctx drops, so no read can resolve against a
+/// released snapshot. A per-statement (autocommit) snapshot releases
+/// its registry entry on drop; a transaction's snapshot is released at
+/// COMMIT or ROLLBACK.
 struct SnapshotCtx<'a> {
     /// `Some` when this ctx owns a registry entry to release.
     db: Option<&'a Database>,
-    ts: u64,
-    stamp: TxnStamp,
-    scope: Option<SnapshotScope>,
+    snapshot: Snapshot,
 }
 
 impl Drop for SnapshotCtx<'_> {
     fn drop(&mut self) {
-        // Uninstall the thread-local scope before releasing the registry
-        // entry, so no reader can resolve against a released snapshot.
-        self.scope.take();
         if let Some(db) = self.db {
-            db.release_snapshot(self.ts);
+            db.release_snapshot(self.snapshot.ts);
         }
     }
 }
@@ -1282,40 +1278,20 @@ impl Connection {
         &self.db
     }
 
-    /// Establish the snapshot this statement reads under: the enclosing
-    /// scope's when nested, the transaction's under BEGIN…COMMIT, or a
-    /// freshly registered per-statement snapshot in autocommit.
+    /// Establish the snapshot this statement reads and writes under: the
+    /// transaction's under BEGIN…COMMIT, or a freshly registered
+    /// per-statement snapshot in autocommit.
     fn snapshot_ctx(&self) -> SnapshotCtx<'_> {
-        if let Some(outer) = crate::storage::current_snapshot() {
-            return SnapshotCtx {
-                db: None,
-                ts: outer.ts,
-                stamp: outer.stamp,
-                scope: None,
-            };
-        }
         if let Some((stamp, ts)) = self.txn_stamp.borrow().clone() {
-            let scope = enter_snapshot(Snapshot {
-                ts,
-                stamp: Arc::clone(&stamp),
-            });
             return SnapshotCtx {
                 db: None,
-                ts,
-                stamp,
-                scope: Some(scope),
+                snapshot: Snapshot { ts, stamp },
             };
         }
         let (ts, stamp) = self.db.register_snapshot();
-        let scope = enter_snapshot(Snapshot {
-            ts,
-            stamp: Arc::clone(&stamp),
-        });
         SnapshotCtx {
             db: Some(&self.db),
-            ts,
-            stamp,
-            scope: Some(scope),
+            snapshot: Snapshot { ts, stamp },
         }
     }
 
@@ -1492,12 +1468,12 @@ impl Connection {
         self.db.inner.stmt_counter.fetch_add(1, Ordering::Relaxed);
         let named: HashMap<String, Value> = HashMap::new();
         let catalog = self.db.inner.catalog.read();
-        self.write_table(&catalog, table, None, |catalog, undo| {
+        self.write_table(&catalog, table, None, |catalog, snapshot, undo| {
             // One bind for the whole batch.
             let plan = DmlPlan::bind(catalog, &cached.stmt)?;
             let mut total = 0;
             for params in param_sets {
-                total += plan.run(catalog, params, &named, undo)?;
+                total += plan.run(&BoundCtx::new(catalog, snapshot, params, &named), undo)?;
             }
             Ok(total)
         })
@@ -1540,7 +1516,12 @@ impl Connection {
     /// in garbage recovery must discard). An error return means the
     /// caller must treat the statement as failed and undo its in-memory
     /// effects.
-    fn wal_log_statement(&self, catalog: &Catalog, scratch: &UndoLog) -> SqlResult<()> {
+    fn wal_log_statement(
+        &self,
+        catalog: &Catalog,
+        snapshot: &Snapshot,
+        scratch: &UndoLog,
+    ) -> SqlResult<()> {
         let injector = self.db.inner.injector.lock().clone();
         if let Some(inj) = &injector {
             if inj.frozen() {
@@ -1556,7 +1537,7 @@ impl Connection {
                 None => Ok(()),
             };
         };
-        let ops = wal::ops_from_undo(catalog, scratch.ops());
+        let ops = wal::ops_from_undo(catalog, snapshot, scratch.ops());
         if ops.is_empty() && armed.is_none() {
             return Ok(());
         }
@@ -1637,29 +1618,24 @@ impl Connection {
                 // Readers resolve row visibility against this snapshot;
                 // they take per-table guards only in shared mode and
                 // never observe an unstamped (uncommitted) version.
-                let _snap = self.snapshot_ctx();
+                let snap = self.snapshot_ctx();
                 let catalog = self.db.inner.catalog.read();
                 let plan = self.compiled_plan(cached, &catalog);
                 if let Err(e) = catalog.fault_bind_complete() {
                     Self::invalidate_plan_slot(cached);
                     return Err(e);
                 }
+                let ctx = BoundCtx::new(&catalog, &snap.snapshot, params, &named);
                 let rs = match &*plan {
                     CompiledPlan::Select(p) => crate::exec::batch::run_select_batched(
-                        &catalog,
+                        &ctx,
                         p,
-                        params,
-                        &named,
                         &mut self.batch.borrow_mut(),
                     )?,
-                    CompiledPlan::Aggregate(p) => crate::exec::batch::run_agg_plan(
-                        &catalog,
-                        p,
-                        params,
-                        &named,
-                        &mut self.batch.borrow_mut(),
-                    )?,
-                    _ => crate::exec::select::run_select(&catalog, s, params, &named)?,
+                    CompiledPlan::Aggregate(p) => {
+                        crate::exec::batch::run_agg_plan(&ctx, p, &mut self.batch.borrow_mut())?
+                    }
+                    _ => crate::exec::select::run_select(&ctx, s)?,
                 };
                 self.db
                     .inner
@@ -1685,20 +1661,14 @@ impl Connection {
                 let table = cached.stmt.dml_table().expect("UPDATE/DELETE has a target");
                 let named: HashMap<String, Value> = HashMap::new();
                 let n =
-                    self.write_table(
-                        &catalog,
-                        table,
-                        Some(cached),
-                        |catalog, undo| match &*plan {
-                            CompiledPlan::Update(p) => {
-                                crate::plan::run_update_plan(catalog, p, params, &named, undo)
-                            }
-                            CompiledPlan::Delete(p) => {
-                                crate::plan::run_delete_plan(catalog, p, params, &named, undo)
-                            }
+                    self.write_table(&catalog, table, Some(cached), |catalog, snapshot, undo| {
+                        let ctx = BoundCtx::new(catalog, snapshot, params, &named);
+                        match &*plan {
+                            CompiledPlan::Update(p) => crate::plan::run_update_plan(&ctx, p, undo),
+                            CompiledPlan::Delete(p) => crate::plan::run_delete_plan(&ctx, p, undo),
                             _ => unreachable!("UPDATE/DELETE compile to their own plans"),
-                        },
-                    )?;
+                        }
+                    })?;
                 Ok(StatementResult::Affected(n))
             }
             _ => self.execute_ast_inner(&cached.stmt, params),
@@ -1832,9 +1802,10 @@ impl Connection {
             }
             Statement::Select(s) => {
                 let named: HashMap<String, Value> = HashMap::new();
-                let _snap = self.snapshot_ctx();
+                let snap = self.snapshot_ctx();
                 let catalog = self.db.inner.catalog.read();
-                let rs = crate::exec::select::run_select(&catalog, s, params, &named)?;
+                let ctx = BoundCtx::new(&catalog, &snap.snapshot, params, &named);
+                let rs = crate::exec::select::run_select(&ctx, s)?;
                 self.db
                     .inner
                     .rows_counter
@@ -1845,8 +1816,9 @@ impl Connection {
                 let named: HashMap<String, Value> = HashMap::new();
                 let catalog = self.db.inner.catalog.read();
                 let table = stmt.dml_table().expect("DML has a target");
-                let n = self.write_table(&catalog, table, None, |catalog, undo| {
-                    DmlPlan::bind(catalog, stmt)?.run(catalog, params, &named, undo)
+                let n = self.write_table(&catalog, table, None, |catalog, snapshot, undo| {
+                    let ctx = BoundCtx::new(catalog, snapshot, params, &named);
+                    DmlPlan::bind(catalog, stmt)?.run(&ctx, undo)
                 })?;
                 Ok(StatementResult::Affected(n))
             }
@@ -1854,8 +1826,9 @@ impl Connection {
                 let named: HashMap<String, Value> = HashMap::new();
                 let mut catalog = self.db.inner.catalog.write();
                 let (result, targets) =
-                    self.write_statement(&mut catalog, None, |catalog, undo| {
-                        let result = crate::exec::execute(catalog, other, params, &named, undo)?;
+                    self.write_statement(&mut catalog, None, |catalog, snapshot, undo| {
+                        let result =
+                            crate::exec::execute(catalog, snapshot, other, params, &named, undo)?;
                         // DDL invalidates dependent cached plans. For CALL, the
                         // procedure body may itself run DDL; collect its targets
                         // too (one call level deep — nested CALLs running DDL
@@ -1909,11 +1882,11 @@ impl Connection {
         catalog: &Catalog,
         table: &str,
         cached: Option<&CachedStmt>,
-        body: impl FnOnce(&Catalog, &mut UndoLog) -> SqlResult<T>,
+        body: impl FnOnce(&Catalog, &Snapshot, &mut UndoLog) -> SqlResult<T>,
     ) -> SqlResult<T> {
         let _stmt = catalog.table_stmt(table)?;
-        self.write_statement(&mut { catalog }, cached, |catalog, undo| {
-            body(catalog, undo)
+        self.write_statement(&mut { catalog }, cached, |catalog, snapshot, undo| {
+            body(catalog, snapshot, undo)
         })
     }
 
@@ -1921,8 +1894,8 @@ impl Connection {
     /// (the table scope of [`Connection::write_table`], or the exclusive
     /// shape lock for DDL and `CALL`). It establishes the snapshot — after
     /// the lock, so a writer reads every commit of the writer it queued
-    /// behind — runs `body` into a scratch undo log with panics contained,
-    /// then settles the statement. On success it derives the redo from
+    /// behind — runs `body` under that snapshot into a scratch undo log
+    /// with panics contained, then settles the statement. On success it derives the redo from
     /// the scratch log, appends it to the WAL, and at acknowledgement
     /// commits the statement's stamp (autocommit) or folds the log into
     /// the open transaction. On failure — of the body or of the append —
@@ -1932,19 +1905,20 @@ impl Connection {
         &self,
         catalog: &mut S,
         cached: Option<&CachedStmt>,
-        body: impl FnOnce(&mut S, &mut UndoLog) -> SqlResult<T>,
+        body: impl FnOnce(&mut S, &Snapshot, &mut UndoLog) -> SqlResult<T>,
     ) -> SqlResult<T> {
         let ctx = self.snapshot_ctx();
-        let mut scratch = UndoLog::with_stamp(Arc::clone(&ctx.stamp));
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(catalog, &mut scratch)))
-                .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
+        let mut scratch = UndoLog::with_stamp(Arc::clone(&ctx.snapshot.stamp));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            body(catalog, &ctx.snapshot, &mut scratch)
+        }))
+        .unwrap_or_else(|payload| Err(Self::panic_error(payload)));
         let (e, fault) = match result {
-            Ok(value) => match self.wal_log_statement(catalog, &scratch) {
+            Ok(value) => match self.wal_log_statement(catalog, &ctx.snapshot, &scratch) {
                 Ok(()) => {
                     match self.txn.borrow_mut().as_mut() {
                         Some(txn) => txn.absorb(scratch),
-                        None => self.db.commit_stamp(&ctx.stamp),
+                        None => self.db.commit_stamp(&ctx.snapshot.stamp),
                     }
                     return Ok(value);
                 }

@@ -30,7 +30,6 @@ use std::collections::{HashMap, HashSet};
 
 use crate::ast::JoinKind;
 use crate::bound::{eval_bound_batch, filter_bound_batch, BoundCtx, BoundExpr};
-use crate::catalog::Catalog;
 use crate::db::QueryResult;
 use crate::error::SqlResult;
 use crate::exec::select::{cmp_keys, combine_agg_values, TopK};
@@ -107,17 +106,20 @@ pub struct BatchScratch {
 /// first N rows (callers establish the no-filter / order-served / no-
 /// distinct conditions that make this safe).
 fn gather_rows<'t>(
-    catalog: &Catalog,
     table: &'t Table,
     access: &Access,
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
     pushdown: Option<usize>,
 ) -> SqlResult<Vec<&'t [Value]>> {
+    let catalog = ctx.catalog;
     Ok(match access {
         Access::Full => {
             catalog.note_full_scan();
-            let rows: Vec<&[Value]> = table.scan().map(|r| r.as_slice()).collect();
+            let rows: Vec<&[Value]> = table
+                .scan(Some(ctx.snapshot))
+                .map(|r| r.as_slice())
+                .collect();
             catalog.note_full_scan_rows(rows.len() as u64);
             rows
         }
@@ -129,7 +131,7 @@ fn gather_rows<'t>(
                 Vec::new()
             } else {
                 table
-                    .index_eq_entries(index, &SortKey(vec![key]))
+                    .index_eq_entries(Some(ctx.snapshot), index, &SortKey(vec![key]))
                     .into_iter()
                     .map(|(_, row)| row.as_slice())
                     .collect()
@@ -153,6 +155,7 @@ fn gather_rows<'t>(
             catalog.note_range_scan();
             table
                 .index_range_entries(
+                    Some(ctx.snapshot),
                     index,
                     lower.as_ref().map(|(v, i)| (v, *i)),
                     upper.as_ref().map(|(v, i)| (v, *i)),
@@ -168,7 +171,7 @@ fn gather_rows<'t>(
             let index = table.find_index(&[*col]).expect("plan epoch guards index");
             catalog.note_range_scan();
             table
-                .index_range_entries(index, None, None, *desc, true, pushdown)
+                .index_range_entries(Some(ctx.snapshot), index, None, None, *desc, true, pushdown)
                 .into_iter()
                 .map(|(_, row)| row.as_slice())
                 .collect()
@@ -183,19 +186,19 @@ fn gather_rows<'t>(
 /// a join side's access are plan constants (they come from pushed
 /// column-vs-constant comparisons), so evaluation cannot error on a row.
 fn gather_side<'t>(
-    catalog: &Catalog,
     table: &'t Table,
     side: &JoinSide,
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
 ) -> SqlResult<Vec<&'t [Value]>> {
+    let catalog = ctx.catalog;
     let keep = |row: &[Value]| side.prefilter.iter().all(|c| c.passes(row));
     Ok(match &side.access {
         Access::Full => {
             catalog.note_full_scan();
             let mut walked = 0u64;
             let rows: Vec<&[Value]> = table
-                .scan()
+                .scan(Some(ctx.snapshot))
                 .map(|r| r.as_slice())
                 .inspect(|_| walked += 1)
                 .filter(|r| keep(r))
@@ -212,7 +215,7 @@ fn gather_side<'t>(
             } else {
                 // Entries for one key arrive rowid-ascending already.
                 table
-                    .index_eq_entries(index, &SortKey(vec![key]))
+                    .index_eq_entries(Some(ctx.snapshot), index, &SortKey(vec![key]))
                     .into_iter()
                     .map(|(_, row)| row.as_slice())
                     .filter(|r| keep(r))
@@ -239,6 +242,7 @@ fn gather_side<'t>(
             // side is indistinguishable from the interpreter's scan.
             let mut entries: Vec<(RowId, &[Value])> = table
                 .index_range_entries(
+                    Some(ctx.snapshot),
                     index,
                     lower.as_ref().map(|(v, i)| (v, *i)),
                     upper.as_ref().map(|(v, i)| (v, *i)),
@@ -380,7 +384,6 @@ fn join_emit<I: IntoIterator<Item = u32>>(
 /// `Value`'s `Eq`/`Hash` use, and its entries arrive rowid-ascending —
 /// so the emitted rows are indistinguishable from the hash path's.
 fn inl_join(
-    catalog: &Catalog,
     step: &JoinStep,
     left: &[&[Value]],
     side: &JoinSide,
@@ -388,6 +391,7 @@ fn inl_join(
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
 ) -> SqlResult<Vec<Vec<Value>>> {
+    let catalog = ctx.catalog;
     let (lcol, rcol) = step.pairs[0];
     let index = table.find_index(&[rcol]).expect("plan epoch guards index");
     catalog.note_index_nl_join();
@@ -400,7 +404,7 @@ fn inl_join(
         let mut matched = false;
         if !key.is_null() {
             probe.0[0] = key.clone();
-            for (_, r) in table.index_eq_entries(index, &probe) {
+            for (_, r) in table.index_eq_entries(Some(ctx.snapshot), index, &probe) {
                 let r: &[Value] = r;
                 if !side.prefilter.iter().all(|c| c.passes(r)) {
                     continue;
@@ -446,7 +450,6 @@ fn inl_join(
 /// (hash either direction, index nested loop, nested loop) emits
 /// byte-identical rows, so the choice is free.
 fn exec_join_step(
-    catalog: &Catalog,
     step: &JoinStep,
     left: &[&[Value]],
     side: &JoinSide,
@@ -454,11 +457,12 @@ fn exec_join_step(
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
 ) -> SqlResult<Vec<Vec<Value>>> {
+    let catalog = ctx.catalog;
     let rw = side.width;
 
     // CROSS: plain product, no ON clause to evaluate.
     if step.kind == JoinKind::Cross {
-        let right = gather_side(catalog, table, side, ctx, evals)?;
+        let right = gather_side(table, side, ctx, evals)?;
         let mut out = Vec::with_capacity(left.len().saturating_mul(right.len()));
         for l in left {
             for r in &right {
@@ -475,10 +479,10 @@ fn exec_join_step(
     // is much smaller than the indexed side — probing k rows costs
     // O(k log n) against O(n) just to gather and hash the scan.
     if step.inl_eligible && left.len().saturating_mul(8) <= table.len() {
-        return inl_join(catalog, step, left, side, table, ctx, evals);
+        return inl_join(step, left, side, table, ctx, evals);
     }
 
-    let right = gather_side(catalog, table, side, ctx, evals)?;
+    let right = gather_side(table, side, ctx, evals)?;
     let mut out: Vec<Vec<Value>> = Vec::new();
     let mut right_matched = vec![false; right.len()];
 
@@ -582,12 +586,8 @@ fn exec_join_step(
 /// never deadlock through the writer-starvation gate), gather each
 /// side in rowid order, and fold the steps left-to-right. Returns
 /// owned combined rows; the guards drop on return.
-fn run_join(
-    catalog: &Catalog,
-    jp: &JoinPlan,
-    ctx: &BoundCtx<'_>,
-    evals: &mut Evals,
-) -> SqlResult<Vec<Vec<Value>>> {
+fn run_join(jp: &JoinPlan, ctx: &BoundCtx<'_>, evals: &mut Evals) -> SqlResult<Vec<Vec<Value>>> {
+    let catalog = ctx.catalog;
     let mut names: Vec<String> = jp
         .sides
         .iter()
@@ -612,27 +612,11 @@ fn run_join(
 
     catalog.note_pushed_predicates(jp.pushed);
 
-    let left0 = gather_side(catalog, tables[0], &jp.sides[0], ctx, evals)?;
-    let mut cur = exec_join_step(
-        catalog,
-        &jp.steps[0],
-        &left0,
-        &jp.sides[1],
-        tables[1],
-        ctx,
-        evals,
-    )?;
+    let left0 = gather_side(tables[0], &jp.sides[0], ctx, evals)?;
+    let mut cur = exec_join_step(&jp.steps[0], &left0, &jp.sides[1], tables[1], ctx, evals)?;
     for (i, step) in jp.steps.iter().enumerate().skip(1) {
         let view: Vec<&[Value]> = cur.iter().map(Vec::as_slice).collect();
-        let next = exec_join_step(
-            catalog,
-            step,
-            &view,
-            &jp.sides[i + 1],
-            tables[i + 1],
-            ctx,
-            evals,
-        )?;
+        let next = exec_join_step(step, &view, &jp.sides[i + 1], tables[i + 1], ctx, evals)?;
         drop(view);
         cur = next;
     }
@@ -952,27 +936,20 @@ fn finish_output(
 /// tick exactly as on the interpreted path, plus the batch counters
 /// (`batch_evals`, `batched_rows`).
 pub fn run_select_batched(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     plan: &SelectPlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
     scratch: &mut BatchScratch,
 ) -> SqlResult<QueryResult> {
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
+    let catalog = ctx.catalog;
     let mut evals = Evals(0);
 
     // OFFSET/LIMIT once per statement, before any row work.
     let offset = match &plan.offset {
-        Some(e) => Some(bound_usize(e, &ctx, &mut evals, "OFFSET")?),
+        Some(e) => Some(bound_usize(e, ctx, &mut evals, "OFFSET")?),
         None => None,
     };
     let limit = match &plan.limit {
-        Some(e) => Some(bound_usize(e, &ctx, &mut evals, "LIMIT")?),
+        Some(e) => Some(bound_usize(e, ctx, &mut evals, "LIMIT")?),
         None => None,
     };
 
@@ -989,15 +966,15 @@ pub fn run_select_batched(
                 None
             };
 
-            let rows = gather_rows(catalog, &table, access, &ctx, &mut evals, pushdown)?;
+            let rows = gather_rows(&table, access, ctx, &mut evals, pushdown)?;
             catalog.note_batched_rows(rows.len() as u64);
-            select_tail(catalog, plan, &ctx, evals, scratch, &rows, offset, limit)
+            select_tail(plan, ctx, evals, scratch, &rows, offset, limit)
         }
         InputPlan::Join(jp) => {
-            let joined = run_join(catalog, jp, &ctx, &mut evals)?;
+            let joined = run_join(jp, ctx, &mut evals)?;
             catalog.note_batched_rows(joined.len() as u64);
             let rows: Vec<&[Value]> = joined.iter().map(Vec::as_slice).collect();
-            select_tail(catalog, plan, &ctx, evals, scratch, &rows, offset, limit)
+            select_tail(plan, ctx, evals, scratch, &rows, offset, limit)
         }
     }
 }
@@ -1007,9 +984,7 @@ pub fn run_select_batched(
 /// top-K heap) → DISTINCT/sort/OFFSET/LIMIT. Joined inputs never have
 /// `order_served` set, so the truncate and top-K conditions degrade to
 /// the plain paths for them.
-#[allow(clippy::too_many_arguments)]
 fn select_tail(
-    catalog: &Catalog,
     plan: &SelectPlan,
     ctx: &BoundCtx<'_>,
     mut evals: Evals,
@@ -1018,6 +993,7 @@ fn select_tail(
     offset: Option<usize>,
     limit: Option<usize>,
 ) -> SqlResult<QueryResult> {
+    let catalog = ctx.catalog;
     let mut passes = fill_selection(&plan.filter, ctx, rows, &mut evals, &mut scratch.sel)?;
 
     // Post-filter limit pushdown (mirrors the interpreter's truncate of
@@ -1101,7 +1077,6 @@ fn select_tail(
 /// lists plus a second fold pass.
 #[allow(clippy::too_many_arguments)]
 fn run_agg_staged(
-    catalog: &Catalog,
     plan: &AggPlan,
     ctx: &BoundCtx<'_>,
     evals: &mut Evals,
@@ -1111,6 +1086,7 @@ fn run_agg_staged(
     inline: &Option<Vec<Acc>>,
     single_col: Option<usize>,
 ) -> SqlResult<Vec<Vec<Value>>> {
+    let catalog = ctx.catalog;
     let one_pass = inline.is_some();
     *passes += fill_selection(&plan.filter, ctx, rows, evals, &mut scratch.sel)?;
 
@@ -1254,26 +1230,19 @@ fn run_agg_staged(
 /// finalization order, which *is* the interpreter's group-major,
 /// spec-major computation order.
 pub fn run_agg_plan(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     plan: &AggPlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
     scratch: &mut BatchScratch,
 ) -> SqlResult<QueryResult> {
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
+    let catalog = ctx.catalog;
     let mut evals = Evals(0);
 
     let offset = match &plan.offset {
-        Some(e) => Some(bound_usize(e, &ctx, &mut evals, "OFFSET")?),
+        Some(e) => Some(bound_usize(e, ctx, &mut evals, "OFFSET")?),
         None => None,
     };
     let limit = match &plan.limit {
-        Some(e) => Some(bound_usize(e, &ctx, &mut evals, "LIMIT")?),
+        Some(e) => Some(bound_usize(e, ctx, &mut evals, "LIMIT")?),
         None => None,
     };
 
@@ -1285,7 +1254,7 @@ pub fn run_agg_plan(
     let mut cmps = Vec::new();
     let tight_filter = match &plan.filter {
         None => true,
-        Some(p) => crate::bound::flatten_col_cmps(p, &ctx, &mut cmps),
+        Some(p) => crate::bound::flatten_col_cmps(p, ctx, &mut cmps),
     };
     let mut passes = 0u64;
 
@@ -1300,13 +1269,12 @@ pub fn run_agg_plan(
     // appear in first-seen scan order.
     let mut vrows: Vec<Vec<Value>> = match &plan.input {
         InputPlan::Join(jp) => {
-            let joined = run_join(catalog, jp, &ctx, &mut evals)?;
+            let joined = run_join(jp, ctx, &mut evals)?;
             catalog.note_batched_rows(joined.len() as u64);
             let rows: Vec<&[Value]> = joined.iter().map(Vec::as_slice).collect();
             run_agg_staged(
-                catalog,
                 plan,
-                &ctx,
+                ctx,
                 &mut evals,
                 &mut passes,
                 scratch,
@@ -1330,7 +1298,7 @@ pub fn run_agg_plan(
                 let mut sgroups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
                 let mut walked = 0u64;
                 let mut kept = 0u64;
-                for row in table.scan() {
+                for row in table.scan(Some(ctx.snapshot)) {
                     walked += 1;
                     let row: &[Value] = row;
                     if !cmps.iter().all(|m| m.passes(row)) {
@@ -1374,12 +1342,11 @@ pub fn run_agg_plan(
                 }
                 vrows
             } else {
-                let rows = gather_rows(catalog, &table, access, &ctx, &mut evals, None)?;
+                let rows = gather_rows(&table, access, ctx, &mut evals, None)?;
                 catalog.note_batched_rows(rows.len() as u64);
                 run_agg_staged(
-                    catalog,
                     plan,
-                    &ctx,
+                    ctx,
                     &mut evals,
                     &mut passes,
                     scratch,
@@ -1398,7 +1365,7 @@ pub fn run_agg_plan(
         for vrow in vrows {
             let rc = BoundCtx {
                 row: Some(&vrow),
-                ..ctx
+                ..*ctx
             };
             if evals.pred(h, &rc)? {
                 kept.push(vrow);
@@ -1425,7 +1392,7 @@ pub fn run_agg_plan(
     for (seq, vrow) in vrows.iter().enumerate() {
         let rc = BoundCtx {
             row: Some(vrow),
-            ..ctx
+            ..*ctx
         };
         let mut out = Vec::with_capacity(plan.projections.len());
         for e in &plan.projections {

@@ -7,13 +7,14 @@ use crate::bound::{bind_eval, BoundCtx};
 use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::error::{SqlError, SqlResult};
 use crate::schema::{Column, TableSchema};
-use crate::storage::Table;
+use crate::storage::{Snapshot, Table};
 use crate::txn::{UndoLog, UndoOp};
 use crate::types::Value;
 
 /// `CREATE TABLE`.
 pub fn create_table(
     catalog: &mut Catalog,
+    snapshot: &Snapshot,
     stmt: &CreateTableStmt,
     params: &[Value],
     undo: &mut UndoLog,
@@ -34,13 +35,8 @@ pub fn create_table(
     for c in &stmt.columns {
         let default = match &c.default {
             Some(e) => {
-                let ctx = BoundCtx {
-                    catalog,
-                    params,
-                    named_params: &HashMap::new(),
-                    row: None,
-                };
-                let v = bind_eval(e, &ctx)?;
+                let named = HashMap::new();
+                let v = bind_eval(e, &BoundCtx::new(catalog, snapshot, params, &named))?;
                 Some(v.coerce(c.ty).map_err(SqlError::Semantic)?)
             }
             None => None,
@@ -289,6 +285,7 @@ pub fn drop_view(
 /// run the body, and return the last result set (if any).
 pub fn call_procedure(
     catalog: &mut Catalog,
+    snapshot: &Snapshot,
     name: &str,
     args: &[Expr],
     params: &[Value],
@@ -307,19 +304,14 @@ pub fn call_procedure(
     // Evaluate arguments in the caller's context.
     let mut bound = HashMap::new();
     {
-        let ctx = BoundCtx {
-            catalog,
-            params,
-            named_params,
-            row: None,
-        };
+        let ctx = BoundCtx::new(catalog, snapshot, params, named_params);
         for (formal, actual) in proc.params.iter().zip(args) {
             bound.insert(formal.to_ascii_lowercase(), bind_eval(actual, &ctx)?);
         }
     }
     let mut last_rows = None;
     for stmt in &proc.body {
-        let r = super::execute(catalog, stmt, &[], &bound, undo)?;
+        let r = super::execute(catalog, snapshot, stmt, &[], &bound, undo)?;
         if let crate::db::StatementResult::Rows(rs) = r {
             last_rows = Some(rs);
         }

@@ -19,8 +19,6 @@
 //! versions stay unstamped — invisible to readers — until the statement
 //! commits. One path serves every entry point, subqueries or not.
 
-use std::collections::HashMap;
-
 use crate::ast::*;
 use crate::bound::{bind, eval_bound, BoundCtx, BoundExpr};
 use crate::catalog::Catalog;
@@ -73,19 +71,11 @@ impl<'s> DmlPlan<'s> {
 
     /// Run both phases through [`write_rows`], which takes the target
     /// table's guards per phase.
-    pub(crate) fn run(
-        &self,
-        catalog: &Catalog,
-        params: &[Value],
-        named_params: &HashMap<String, Value>,
-        undo: &mut UndoLog,
-    ) -> SqlResult<usize> {
+    pub(crate) fn run(&self, ctx: &BoundCtx<'_>, undo: &mut UndoLog) -> SqlResult<usize> {
         match self {
-            DmlPlan::Insert(p) => write_rows(catalog, p.table, undo, |_, _| {
-                collect_insert(catalog, p, params, named_params)
-            }),
-            DmlPlan::Update(p) => run_update_plan(catalog, p, params, named_params, undo),
-            DmlPlan::Delete(p) => run_delete_plan(catalog, p, params, named_params, undo),
+            DmlPlan::Insert(p) => write_rows(ctx, p.table, undo, |_, _| collect_insert(ctx, p)),
+            DmlPlan::Update(p) => run_update_plan(ctx, p, undo),
+            DmlPlan::Delete(p) => run_delete_plan(ctx, p, undo),
         }
     }
 }
@@ -132,33 +122,20 @@ fn plan_insert<'s>(table: &Table, stmt: &'s InsertStmt) -> SqlResult<InsertPlan<
 }
 
 /// Collect phase of an `INSERT`: compute the full rows to insert.
-fn collect_insert(
-    catalog: &Catalog,
-    plan: &InsertPlan<'_>,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-) -> SqlResult<Vec<RowChange>> {
+fn collect_insert(ctx: &BoundCtx<'_>, plan: &InsertPlan<'_>) -> SqlResult<Vec<RowChange>> {
     let source_rows: Vec<Vec<Value>> = match &plan.source {
         InsertRows::Values(rows) => {
-            let ctx = BoundCtx {
-                catalog,
-                params,
-                named_params,
-                row: None,
-            };
             let mut out = Vec::with_capacity(rows.len());
             for exprs in rows {
                 let mut row = Vec::with_capacity(exprs.len());
                 for e in exprs {
-                    row.push(eval_bound(e, &ctx)?);
+                    row.push(eval_bound(e, ctx)?);
                 }
                 out.push(row);
             }
             out
         }
-        InsertRows::Select(sel) => {
-            super::select::run_select(catalog, sel, params, named_params)?.rows
-        }
+        InsertRows::Select(sel) => super::select::run_select(ctx, sel)?.rows,
     };
 
     let mut full_rows = Vec::with_capacity(source_rows.len());

@@ -14,16 +14,20 @@ pub mod select;
 use std::collections::HashMap;
 
 use crate::ast::Statement;
+use crate::bound::BoundCtx;
 use crate::catalog::Catalog;
 use crate::db::StatementResult;
 use crate::error::{SqlError, SqlResult};
+use crate::storage::Snapshot;
 use crate::txn::UndoLog;
 use crate::types::Value;
 
-/// Execute one statement. `params` are `?` host parameters, `named_params`
-/// are `:name` bindings (lower-cased keys; used inside procedure bodies).
+/// Execute one statement, reading and writing rows under `snapshot`.
+/// `params` are `?` host parameters, `named_params` are `:name` bindings
+/// (lower-cased keys; used inside procedure bodies).
 pub fn execute(
     catalog: &mut Catalog,
+    snapshot: &Snapshot,
     stmt: &Statement,
     params: &[Value],
     named_params: &HashMap<String, Value>,
@@ -31,15 +35,17 @@ pub fn execute(
 ) -> SqlResult<StatementResult> {
     match stmt {
         Statement::Select(s) => {
-            let rs = select::run_select(catalog, s, params, named_params)?;
+            let ctx = BoundCtx::new(catalog, snapshot, params, named_params);
+            let rs = select::run_select(&ctx, s)?;
             Ok(StatementResult::Rows(rs))
         }
         Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
-            let n = dml::DmlPlan::bind(catalog, stmt)?.run(catalog, params, named_params, undo)?;
+            let ctx = BoundCtx::new(catalog, snapshot, params, named_params);
+            let n = dml::DmlPlan::bind(catalog, stmt)?.run(&ctx, undo)?;
             Ok(StatementResult::Affected(n))
         }
         Statement::CreateTable(s) => {
-            ddl::create_table(catalog, s, params, undo)?;
+            ddl::create_table(catalog, snapshot, s, params, undo)?;
             Ok(StatementResult::Ddl)
         }
         Statement::DropTable { name, if_exists } => {
@@ -94,7 +100,8 @@ pub fn execute(
             Ok(StatementResult::Ddl)
         }
         Statement::Call { name, args } => {
-            let rows = ddl::call_procedure(catalog, name, args, params, named_params, undo)?;
+            let rows =
+                ddl::call_procedure(catalog, snapshot, name, args, params, named_params, undo)?;
             match rows {
                 Some(rs) => Ok(StatementResult::Rows(rs)),
                 None => Ok(StatementResult::Affected(0)),

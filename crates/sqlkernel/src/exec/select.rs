@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use crate::ast::*;
 use crate::bound::{bind, bind_eval, eval_bound, eval_bound_predicate, BoundCtx, BoundExpr};
-use crate::catalog::Catalog;
 use crate::db::QueryResult;
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{aggregate_key, is_aggregate_name, RowSchema};
@@ -37,23 +36,16 @@ pub(crate) struct Rows {
     pub rows: Vec<Arc<Row>>,
 }
 
-/// Run a `SELECT` and materialize its result.
-pub fn run_select(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-) -> SqlResult<QueryResult> {
+/// Run a `SELECT` under `ctx`'s snapshot and materialize its result.
+/// The statement is uncorrelated: `ctx`'s row, if any, is not visible
+/// to it.
+pub fn run_select(ctx: &BoundCtx<'_>, stmt: &SelectStmt) -> SqlResult<QueryResult> {
     if !stmt.unions.is_empty() {
-        return run_union(catalog, stmt, params, named_params);
+        return run_union(ctx, stmt);
     }
 
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
+    let ctx = BoundCtx { row: None, ..*ctx };
+    let catalog = ctx.catalog;
     let (offset, limit) = offset_limit(stmt, &ctx)?;
 
     // 1. FROM — with an index fast path (point lookup or range walk) for
@@ -62,18 +54,12 @@ pub fn run_select(
     //    skip the sort below.
     let (input, index_order) = match &stmt.from {
         Some(from) if from.joins.is_empty() => {
-            match try_index_scan(
-                catalog,
-                from,
-                stmt.where_clause.as_ref(),
-                &stmt.order_by,
-                &ctx,
-            )? {
+            match try_index_scan(from, stmt.where_clause.as_ref(), &stmt.order_by, &ctx)? {
                 Some((rows, ord)) => (rows, ord),
-                None => (build_from(catalog, from, &ctx)?, None),
+                None => (build_from(from, &ctx)?, None),
             }
         }
-        Some(from) => (build_from(catalog, from, &ctx)?, None),
+        Some(from) => (build_from(from, &ctx)?, None),
         None => (
             Rows {
                 schema: RowSchema::empty(),
@@ -232,29 +218,18 @@ fn offset_limit(
 /// Execute a select with `UNION` arms: run every core, combine, then
 /// apply the trailing DISTINCT-like dedup, ORDER BY (output columns or
 /// ordinals only) and LIMIT/OFFSET.
-fn run_union(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
-) -> SqlResult<QueryResult> {
+fn run_union(ctx: &BoundCtx<'_>, stmt: &SelectStmt) -> SqlResult<QueryResult> {
     let mut head = stmt.clone();
     head.unions = Vec::new();
     head.order_by = Vec::new();
     head.limit = None;
     head.offset = None;
 
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
-    let (offset, limit) = offset_limit(stmt, &ctx)?;
+    let (offset, limit) = offset_limit(stmt, ctx)?;
 
-    let mut combined = run_select(catalog, &head, params, named_params)?;
+    let mut combined = run_select(ctx, &head)?;
     for arm in &stmt.unions {
-        let rs = run_select(catalog, &arm.select, params, named_params)?;
+        let rs = run_select(ctx, &arm.select)?;
         if rs.columns.len() != combined.columns.len() {
             return Err(SqlError::Semantic(format!(
                 "UNION arms have {} and {} columns",
@@ -384,7 +359,6 @@ type ServedScan = (Rows, Option<(usize, bool)>);
 /// key order and return `Some((col, desc))` so the caller can skip the
 /// sort. Returns `None` when inapplicable.
 fn try_index_scan(
-    catalog: &Catalog,
     from: &FromClause,
     where_clause: Option<&Expr>,
     order_by: &[OrderItem],
@@ -400,6 +374,7 @@ fn try_index_scan(
     }
     // Views (and unknown names) fall through to the general scan path,
     // which produces the proper view expansion or error.
+    let catalog = ctx.catalog;
     let Ok(table) = catalog.table(name) else {
         return Ok(None);
     };
@@ -428,7 +403,11 @@ fn try_index_scan(
             Vec::new()
         } else {
             table
-                .index_eq_entries(index, &crate::storage::SortKey(vec![key]))
+                .index_eq_entries(
+                    Some(ctx.snapshot),
+                    index,
+                    &crate::storage::SortKey(vec![key]),
+                )
                 .into_iter()
                 .map(|(_, row)| Arc::clone(row))
                 .collect()
@@ -456,6 +435,7 @@ fn try_index_scan(
         let rev = order_hint.is_some_and(|(c, desc)| c == spec.col && desc);
         let rows: Vec<Arc<Row>> = table
             .index_range_entries(
+                Some(ctx.snapshot),
                 index,
                 lower.as_ref().map(|(v, i)| (v, *i)),
                 upper.as_ref().map(|(v, i)| (v, *i)),
@@ -476,7 +456,7 @@ fn try_index_scan(
     if let Some((col, desc)) = order_hint {
         if let Some(index) = table.find_index(&[col]) {
             let rows: Vec<Arc<Row>> = table
-                .index_range_entries(index, None, None, desc, true, None)
+                .index_range_entries(Some(ctx.snapshot), index, None, None, desc, true, None)
                 .into_iter()
                 .map(|(_, row)| Arc::clone(row))
                 .collect();
@@ -748,24 +728,24 @@ fn resolve_local(
 
 // ---------------------------------------------------------------- FROM / joins
 
-fn build_from(catalog: &Catalog, from: &FromClause, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
-    let mut left = scan_table_ref(catalog, &from.base, ctx)?;
+fn build_from(from: &FromClause, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
+    let mut left = scan_table_ref(&from.base, ctx)?;
     for join in &from.joins {
-        let right = scan_table_ref(catalog, &join.table, ctx)?;
+        let right = scan_table_ref(&join.table, ctx)?;
         left = join_rows(left, right, join, ctx)?;
     }
     Ok(left)
 }
 
-fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
+fn scan_table_ref(tref: &TableRef, ctx: &BoundCtx<'_>) -> SqlResult<Rows> {
+    let catalog = ctx.catalog;
     match &tref.source {
         TableSource::Named(name) => {
             // Views shadow nothing: names are unique across tables and
             // views (enforced by DDL), so check views first.
             if catalog.has_view(name) {
                 let view = catalog.view(name)?.clone();
-                let _guard = catalog.enter_view()?;
-                let rs = run_select(catalog, &view.query, ctx.params, ctx.named_params)?;
+                let rs = run_select(&ctx.view_expansion()?, &view.query)?;
                 let binding = tref.binding_name().unwrap_or(name).to_string();
                 let schema = RowSchema::new(
                     rs.columns
@@ -790,12 +770,12 @@ fn scan_table_ref(catalog: &Catalog, tref: &TableRef, ctx: &BoundCtx<'_>) -> Sql
             );
             catalog.note_full_scan();
             // Arc clones: the scan shares stored rows, no deep copy.
-            let rows: Vec<Arc<Row>> = table.iter().map(|(_, r)| Arc::clone(r)).collect();
+            let rows: Vec<Arc<Row>> = table.scan(Some(ctx.snapshot)).map(Arc::clone).collect();
             catalog.note_full_scan_rows(rows.len() as u64);
             Ok(Rows { schema, rows })
         }
         TableSource::Subquery(sub) => {
-            let rs = run_select(ctx.catalog, sub, ctx.params, ctx.named_params)?;
+            let rs = run_select(ctx, sub)?;
             let binding = tref
                 .alias
                 .clone()

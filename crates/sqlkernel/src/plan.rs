@@ -30,8 +30,6 @@
 //! `CREATE INDEX` / `DROP INDEX`, which silently change the best access
 //! path — bumps the epoch and forces a re-bind on next execution.
 
-use std::collections::HashMap;
-
 use crate::ast::{
     BinOp, DeleteStmt, Expr, FromClause, JoinKind, OrderItem, SelectItem, SelectStmt, Statement,
     TableSource, UpdateStmt,
@@ -747,11 +745,13 @@ pub(crate) enum RowChange {
 /// until the statement's stamp commits. This is the apply loop of every
 /// `INSERT`, `UPDATE` and `DELETE`.
 pub(crate) fn write_rows(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     table: &str,
     undo: &mut UndoLog,
     collect: impl FnOnce(&TableLock<Table>, &mut Evals) -> SqlResult<Vec<RowChange>>,
 ) -> SqlResult<usize> {
+    let catalog = ctx.catalog;
+    let snap = Some(ctx.snapshot);
     let lock = catalog.table_lock(table)?;
     let mut evals = Evals(0);
     let changes = collect(lock, &mut evals)?;
@@ -761,16 +761,16 @@ pub(crate) fn write_rows(
         let name = t.schema.name.clone();
         undo.record(match change {
             RowChange::Insert(row) => UndoOp::Insert {
-                row_id: t.insert(row)?,
+                row_id: t.insert(snap, row)?,
                 table: name,
             },
             RowChange::Update(row_id, row) => UndoOp::Update {
-                old: t.update(row_id, row)?,
+                old: t.update(snap, row_id, row)?,
                 table: name,
                 row_id,
             },
             RowChange::Delete(row_id) => UndoOp::Delete {
-                row: t.delete(row_id)?,
+                row: t.delete(snap, row_id)?,
                 table: name,
                 row_id,
             },
@@ -785,26 +785,18 @@ pub(crate) fn write_rows(
 /// Collect phase of a compiled `UPDATE`: evaluate filter + assignments
 /// for every matching row.
 fn collect_update(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     table: &Table,
     plan: &UpdatePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
     evals: &mut Evals,
 ) -> SqlResult<Vec<RowChange>> {
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
     let mut changes = Vec::new();
     let mut walked = 0u64;
-    for (id, row) in table.iter() {
+    for (id, row) in table.iter(Some(ctx.snapshot)) {
         walked += 1;
         let rc = BoundCtx {
             row: Some(row),
-            ..ctx
+            ..*ctx
         };
         let hit = match &plan.filter {
             Some(pred) => evals.pred(pred, &rc)?,
@@ -819,47 +811,37 @@ fn collect_update(
         }
         changes.push(RowChange::Update(id, new_row));
     }
-    catalog.note_full_scan_rows(walked);
+    ctx.catalog.note_full_scan_rows(walked);
     Ok(changes)
 }
 
 /// Execute a bound `UPDATE` (see [`write_rows`]).
 pub fn run_update_plan(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     plan: &UpdatePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    write_rows(catalog, &plan.table, undo, |table, evals| {
-        collect_update(catalog, &table.read(), plan, params, named_params, evals)
+    write_rows(ctx, &plan.table, undo, |table, evals| {
+        collect_update(ctx, &table.read(), plan, evals)
     })
 }
 
 /// Collect phase of a compiled `DELETE`: every matching row's id.
 fn collect_delete(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     table: &Table,
     plan: &DeletePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
     evals: &mut Evals,
 ) -> SqlResult<Vec<RowChange>> {
-    let ctx = BoundCtx {
-        catalog,
-        params,
-        named_params,
-        row: None,
-    };
     let mut out = Vec::new();
     let mut walked = 0u64;
-    for (id, row) in table.iter() {
+    for (id, row) in table.iter(Some(ctx.snapshot)) {
         walked += 1;
         let hit = match &plan.filter {
             Some(pred) => {
                 let rc = BoundCtx {
                     row: Some(row),
-                    ..ctx
+                    ..*ctx
                 };
                 evals.pred(pred, &rc)?
             }
@@ -869,19 +851,17 @@ fn collect_delete(
             out.push(RowChange::Delete(id));
         }
     }
-    catalog.note_full_scan_rows(walked);
+    ctx.catalog.note_full_scan_rows(walked);
     Ok(out)
 }
 
 /// Execute a bound `DELETE` (see [`write_rows`]).
 pub fn run_delete_plan(
-    catalog: &Catalog,
+    ctx: &BoundCtx<'_>,
     plan: &DeletePlan,
-    params: &[Value],
-    named_params: &HashMap<String, Value>,
     undo: &mut UndoLog,
 ) -> SqlResult<usize> {
-    write_rows(catalog, &plan.table, undo, |table, evals| {
-        collect_delete(catalog, &table.read(), plan, params, named_params, evals)
+    write_rows(ctx, &plan.table, undo, |table, evals| {
+        collect_delete(ctx, &table.read(), plan, evals)
     })
 }

@@ -20,20 +20,22 @@
 //! out `Arc` clones, and mutation pushes a new version (copy-on-write at
 //! row granularity).
 //!
-//! Two read modes, switched by a thread-local [`Snapshot`]:
+//! Two read modes, chosen per call by the `snap: Option<&Snapshot>`
+//! argument every row-reading and row-writing method takes:
 //!
-//! - **Flat** (no snapshot installed): every chain holds exactly one
-//!   committed version and all methods behave like a plain single-version
-//!   store. WAL replay, checkpoint serialization, and direct `Table` use
-//!   in unit tests run in this mode and are byte-identical to the
-//!   pre-MVCC engine.
-//! - **Versioned** (snapshot installed by the connection layer): reads
-//!   resolve each chain against the snapshot — newest version first, the
-//!   first version that is *our own* (same stamp `Arc`) or committed at
-//!   or before the snapshot timestamp wins. Writes push new versions
-//!   stamped with the statement/transaction stamp; commit later stores
-//!   the timestamp into the shared stamp, making every version of the
-//!   transaction visible atomically.
+//! - **Flat** (`None`): every chain holds exactly one committed version
+//!   and all methods behave like a plain single-version store. WAL
+//!   redo/undo, checkpoint serialization, and direct `Table` use in unit
+//!   tests run in this mode and are byte-identical to the pre-MVCC
+//!   engine.
+//! - **Versioned** (`Some(snapshot)`, passed down from the statement's
+//!   context by the connection layer): reads resolve each chain against
+//!   the snapshot — newest version first, the first version that is
+//!   *our own* (same stamp `Arc`) or committed at or before the snapshot
+//!   timestamp wins. Writes push new versions stamped with the
+//!   statement/transaction stamp; commit later stores the timestamp into
+//!   the shared stamp, making every version of the transaction visible
+//!   atomically.
 //!
 //! Indexes map composite key values to the set of row ids holding them;
 //! under MVCC an entry is kept for **every retained version's** key, and
@@ -45,7 +47,6 @@
 //! swept by [`Table::gc_versions`] using the oldest-active-snapshot
 //! watermark.
 
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
@@ -77,8 +78,8 @@ pub fn new_stamp() -> TxnStamp {
     Arc::new(AtomicU64::new(0))
 }
 
-/// The stamp used for rows written outside any snapshot scope (WAL
-/// replay, checkpoint reload, direct `Table` use). Committed at
+/// The stamp used for rows written in flat mode (WAL replay,
+/// checkpoint reload, direct `Table` use). Committed at
 /// timestamp 1, which every snapshot timestamp is at least, so
 /// bootstrap rows are visible to all readers.
 fn bootstrap_stamp() -> TxnStamp {
@@ -93,41 +94,6 @@ fn bootstrap_stamp() -> TxnStamp {
 pub struct Snapshot {
     pub ts: u64,
     pub stamp: TxnStamp,
-}
-
-thread_local! {
-    static ACTIVE_SNAPSHOT: RefCell<Option<Snapshot>> = const { RefCell::new(None) };
-}
-
-/// The snapshot installed on this thread, if any.
-pub fn current_snapshot() -> Option<Snapshot> {
-    ACTIVE_SNAPSHOT.with(|s| s.borrow().clone())
-}
-
-/// Is a snapshot installed on this thread?
-pub fn snapshot_active() -> bool {
-    ACTIVE_SNAPSHOT.with(|s| s.borrow().is_some())
-}
-
-/// RAII scope for a thread-local snapshot. Restores the previous
-/// snapshot (normally `None`) on drop, including during unwinding.
-#[derive(Debug)]
-pub struct SnapshotScope {
-    prev: Option<Snapshot>,
-}
-
-/// Install `snapshot` as the thread's active snapshot until the returned
-/// scope is dropped.
-pub fn enter_snapshot(snapshot: Snapshot) -> SnapshotScope {
-    let prev = ACTIVE_SNAPSHOT.with(|s| s.borrow_mut().replace(snapshot));
-    SnapshotScope { prev }
-}
-
-impl Drop for SnapshotScope {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        ACTIVE_SNAPSHOT.with(|s| *s.borrow_mut() = prev);
-    }
 }
 
 /// MVCC bookkeeping shared between a database handle and every table it
@@ -651,13 +617,15 @@ impl Table {
     }
 
     /// Iterate rows in row-id order. Rows come out as shared `Arc`s so a
-    /// scan can retain them without deep-copying. With a thread-local
-    /// snapshot installed, only versions visible to it are yielded.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Arc<Row>)> {
-        let snap = current_snapshot();
+    /// scan can retain them without deep-copying. Under a snapshot, only
+    /// versions visible to it are yielded.
+    pub fn iter<'t, 's>(
+        &'t self,
+        snap: Option<&'s Snapshot>,
+    ) -> impl Iterator<Item = (RowId, &'t Arc<Row>)> + use<'t, 's> {
         self.rows
             .iter()
-            .filter_map(move |(id, chain)| self.resolve_with(chain, snap.as_ref()).map(|r| (id, r)))
+            .filter_map(move |(id, chain)| self.resolve_with(chain, snap).map(|r| (id, r)))
     }
 
     /// Iterate row data in row-id order *by reference* — the batch
@@ -665,47 +633,40 @@ impl Table {
     /// never cloned: the borrow pins each row to the caller's table
     /// guard, so a whole-table scan costs zero refcount traffic and
     /// zero per-row allocation. Snapshot-filtered like [`Table::iter`].
-    pub fn scan(&self) -> impl Iterator<Item = &Arc<Row>> {
-        let snap = current_snapshot();
+    pub fn scan<'t, 's>(
+        &'t self,
+        snap: Option<&'s Snapshot>,
+    ) -> impl Iterator<Item = &'t Arc<Row>> + use<'t, 's> {
         self.rows
             .chains()
-            .filter_map(move |chain| self.resolve_with(chain, snap.as_ref()))
+            .filter_map(move |chain| self.resolve_with(chain, snap))
     }
 
-    /// Fetch one row's newest version — the *physical* latest, ignoring
-    /// any installed snapshot. WAL after-image derivation and recovery
-    /// depend on this; snapshot readers use [`Table::get_visible`].
+    /// Fetch one row's newest version — the *physical* latest, whatever
+    /// snapshot is reading. WAL after-image derivation and recovery
+    /// depend on this.
     pub fn get(&self, id: RowId) -> Option<&Arc<Row>> {
         self.rows.get(id).and_then(Chain::latest)
     }
 
-    /// Fetch the version of one row visible to the installed snapshot
-    /// (newest version when no snapshot is installed).
-    pub fn get_visible(&self, id: RowId) -> Option<&Arc<Row>> {
-        let snap = current_snapshot();
-        self.rows
-            .get(id)
-            .and_then(|c| self.resolve_with(c, snap.as_ref()))
-    }
-
     /// Visibility-aware exact-key index lookup: resolves each candidate
-    /// id against the installed snapshot and keeps it only if the visible
-    /// version actually carries the probe key (historical entries for
-    /// other keys are skipped). Ids come out ascending, matching scan
-    /// order among equal keys.
+    /// id against `snap` and keeps it only if the visible version
+    /// actually carries the probe key (historical entries for other keys
+    /// are skipped). Ids come out ascending, matching scan order among
+    /// equal keys.
     pub fn index_eq_entries<'t>(
         &'t self,
+        snap: Option<&Snapshot>,
         idx: &'t Index,
         key: &SortKey,
     ) -> Vec<(RowId, &'t Arc<Row>)> {
-        let snap = current_snapshot();
         let mut out = Vec::new();
         for id in idx.lookup(key) {
             let Some(chain) = self.rows.get(id) else {
                 continue;
             };
             let multi = chain.is_multi();
-            let Some(row) = self.resolve_with(chain, snap.as_ref()) else {
+            let Some(row) = self.resolve_with(chain, snap) else {
                 continue;
             };
             if multi && idx.key_of(row) != *key {
@@ -731,14 +692,16 @@ impl Table {
     /// interpreted path's stable sort preserves scan order (ascending row
     /// id) among equal keys, and index emission must match it exactly.
     ///
-    /// Each candidate resolves through the installed snapshot and must
-    /// carry the entry key it was found under (so a row whose key changed
-    /// after the snapshot neither vanishes nor appears twice). `limit`
-    /// stops the walk once that many rows are emitted — the bounded
+    /// Each candidate resolves through `snap` and must carry the entry
+    /// key it was found under (so a row whose key changed after the
+    /// snapshot neither vanishes nor appears twice). `limit` stops the
+    /// walk once that many rows are emitted — the bounded
     /// `ORDER BY … LIMIT` walk — so its result is the prefix of the
     /// unbounded one.
+    #[allow(clippy::too_many_arguments)]
     pub fn index_range_entries<'t>(
         &'t self,
+        snap: Option<&Snapshot>,
         idx: &'t Index,
         lower: Option<(&Value, bool)>,
         upper: Option<(&Value, bool)>,
@@ -750,7 +713,6 @@ impl Table {
         let Some(bounds) = Index::range_bounds(lower, upper, include_null_keys) else {
             return Vec::new();
         };
-        let snap = current_snapshot();
         let mut out = Vec::new();
         let entries = idx.map.range(bounds);
         let keys: Box<dyn Iterator<Item = (&SortKey, &BTreeSet<RowId>)>> = if rev {
@@ -767,7 +729,7 @@ impl Table {
                     continue;
                 };
                 let multi = chain.is_multi();
-                let Some(row) = self.resolve_with(chain, snap.as_ref()) else {
+                let Some(row) = self.resolve_with(chain, snap) else {
                     continue;
                 };
                 if multi && idx.key_of(row) != *key {
@@ -808,8 +770,8 @@ impl Table {
         Ok(row)
     }
 
-    /// The stamp new versions should carry right now: the installed
-    /// snapshot's stamp, or the bootstrap stamp in flat mode.
+    /// The stamp new versions should carry: the snapshot's stamp, or the
+    /// bootstrap stamp in flat mode.
     fn write_stamp(snap: Option<&Snapshot>) -> TxnStamp {
         match snap {
             Some(s) => Arc::clone(&s.stamp),
@@ -818,7 +780,7 @@ impl Table {
     }
 
     /// Insert a normalized row, enforcing unique indexes. Returns its id.
-    pub fn insert(&mut self, row: Row) -> SqlResult<RowId> {
+    pub fn insert(&mut self, snap: Option<&Snapshot>, row: Row) -> SqlResult<RowId> {
         let row = self.normalize_row(row)?;
         self.check_unique(&row, None)?;
         let id = self.next_row_id;
@@ -826,7 +788,7 @@ impl Table {
         for idx in &mut self.indexes {
             idx.add_entry(&row, id);
         }
-        let stamp = Table::write_stamp(current_snapshot().as_ref());
+        let stamp = Table::write_stamp(snap);
         self.rows.put(id, Chain::single(stamp, Arc::new(row)));
         self.live += 1;
         Ok(id)
@@ -870,11 +832,10 @@ impl Table {
     /// Replace the row at `id`. Returns the previous (visible) row.
     ///
     /// Flat mode replaces the single version in place; versioned mode
-    /// pushes a new version stamped with the current snapshot's stamp and
+    /// pushes a new version stamped with the snapshot's stamp and
     /// retains the old one for concurrent readers.
-    pub fn update(&mut self, id: RowId, row: Row) -> SqlResult<Row> {
+    pub fn update(&mut self, snap: Option<&Snapshot>, id: RowId, row: Row) -> SqlResult<Row> {
         let row = self.normalize_row(row)?;
-        let snap = current_snapshot();
         let Some(snap) = snap else {
             // Flat path: byte-identical to the single-version engine.
             let Some(old) = self.rows.get(id).and_then(Chain::latest).cloned() else {
@@ -898,7 +859,7 @@ impl Table {
         let Some(old) = self
             .rows
             .get(id)
-            .and_then(|c| self.resolve_with(c, Some(&snap)))
+            .and_then(|c| self.resolve_with(c, Some(snap)))
             .cloned()
         else {
             return Err(SqlError::NotFound(format!(
@@ -937,8 +898,7 @@ impl Table {
     /// Delete the row at `id`, returning it. Flat mode removes the chain;
     /// versioned mode pushes a tombstone so concurrent snapshots keep
     /// reading the old version.
-    pub fn delete(&mut self, id: RowId) -> SqlResult<Row> {
-        let snap = current_snapshot();
+    pub fn delete(&mut self, snap: Option<&Snapshot>, id: RowId) -> SqlResult<Row> {
         let Some(snap) = snap else {
             // Flat path: physically remove the chain.
             let chain = self.rows.remove(id).ok_or_else(|| {
@@ -964,7 +924,7 @@ impl Table {
         let Some(old) = self
             .rows
             .get(id)
-            .and_then(|c| self.resolve_with(c, Some(&snap)))
+            .and_then(|c| self.resolve_with(c, Some(snap)))
             .cloned()
         else {
             return Err(SqlError::NotFound(format!(
@@ -1273,7 +1233,7 @@ mod tests {
     #[test]
     fn insert_and_get() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
+        let id = t.insert(None, row(1, "a", 10)).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::text("a"));
         assert_eq!(t.len(), 1);
     }
@@ -1281,8 +1241,8 @@ mod tests {
     #[test]
     fn primary_key_enforced() {
         let mut t = table();
-        t.insert(row(1, "a", 10)).unwrap();
-        let err = t.insert(row(1, "b", 20)).unwrap_err();
+        t.insert(None, row(1, "a", 10)).unwrap();
+        let err = t.insert(None, row(1, "b", 20)).unwrap_err();
         assert_eq!(err.class(), "constraint");
     }
 
@@ -1290,7 +1250,7 @@ mod tests {
     fn pk_null_rejected() {
         let mut t = table();
         let err = t
-            .insert(vec![Value::Null, Value::text("x"), Value::Int(1)])
+            .insert(None, vec![Value::Null, Value::text("x"), Value::Int(1)])
             .unwrap_err();
         assert_eq!(err.class(), "constraint");
     }
@@ -1298,14 +1258,17 @@ mod tests {
     #[test]
     fn arity_checked() {
         let mut t = table();
-        assert!(t.insert(vec![Value::Int(1)]).is_err());
+        assert!(t.insert(None, vec![Value::Int(1)]).is_err());
     }
 
     #[test]
     fn coercion_on_insert() {
         let mut t = table();
         let id = t
-            .insert(vec![Value::text("7"), Value::Int(5), Value::Float(3.0)])
+            .insert(
+                None,
+                vec![Value::text("7"), Value::Int(5), Value::Float(3.0)],
+            )
             .unwrap();
         let r = t.get(id).unwrap();
         assert_eq!(r[0], Value::Int(7));
@@ -1316,20 +1279,20 @@ mod tests {
     #[test]
     fn update_moves_index_entries() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
-        t.update(id, row(2, "a", 10)).unwrap();
+        let id = t.insert(None, row(1, "a", 10)).unwrap();
+        t.update(None, id, row(2, "a", 10)).unwrap();
         // old key free again
-        t.insert(row(1, "c", 1)).unwrap();
+        t.insert(None, row(1, "c", 1)).unwrap();
         // new key taken
-        assert!(t.insert(row(2, "d", 1)).is_err());
+        assert!(t.insert(None, row(2, "d", 1)).is_err());
     }
 
     #[test]
     fn update_to_conflicting_pk_fails() {
         let mut t = table();
-        let a = t.insert(row(1, "a", 1)).unwrap();
-        t.insert(row(2, "b", 2)).unwrap();
-        assert!(t.update(a, row(2, "a", 1)).is_err());
+        let a = t.insert(None, row(1, "a", 1)).unwrap();
+        t.insert(None, row(2, "b", 2)).unwrap();
+        assert!(t.update(None, a, row(2, "a", 1)).is_err());
         // a unchanged
         assert_eq!(t.get(a).unwrap()[0], Value::Int(1));
     }
@@ -1337,38 +1300,38 @@ mod tests {
     #[test]
     fn update_same_key_allowed() {
         let mut t = table();
-        let a = t.insert(row(1, "a", 1)).unwrap();
-        t.update(a, row(1, "a2", 2)).unwrap();
+        let a = t.insert(None, row(1, "a", 1)).unwrap();
+        t.update(None, a, row(1, "a2", 2)).unwrap();
         assert_eq!(t.get(a).unwrap()[1], Value::text("a2"));
     }
 
     #[test]
     fn delete_frees_key_and_restore_brings_back() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 1)).unwrap();
-        let old = t.delete(id).unwrap();
+        let id = t.insert(None, row(1, "a", 1)).unwrap();
+        let old = t.delete(None, id).unwrap();
         assert_eq!(t.len(), 0);
         t.restore(id, old);
         assert_eq!(t.get(id).unwrap()[0], Value::Int(1));
-        assert!(t.insert(row(1, "again", 9)).is_err());
+        assert!(t.insert(None, row(1, "again", 9)).is_err());
     }
 
     #[test]
     fn restore_bumps_next_row_id() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 1)).unwrap();
-        let old = t.delete(id).unwrap();
+        let id = t.insert(None, row(1, "a", 1)).unwrap();
+        let old = t.delete(None, id).unwrap();
         t.restore(id, old);
-        let id2 = t.insert(row(2, "b", 2)).unwrap();
+        let id2 = t.insert(None, row(2, "b", 2)).unwrap();
         assert_ne!(id, id2);
     }
 
     #[test]
     fn secondary_index_lookup() {
         let mut t = table();
-        t.insert(row(1, "a", 10)).unwrap();
-        t.insert(row(2, "a", 20)).unwrap();
-        t.insert(row(3, "b", 30)).unwrap();
+        t.insert(None, row(1, "a", 10)).unwrap();
+        t.insert(None, row(2, "a", 20)).unwrap();
+        t.insert(None, row(3, "b", 30)).unwrap();
         t.create_index("t_name", &["name".into()], false).unwrap();
         let idx = t.find_index(&[1]).unwrap();
         let hits: Vec<RowId> = idx.lookup(&SortKey(vec![Value::text("a")])).collect();
@@ -1379,8 +1342,8 @@ mod tests {
     #[test]
     fn unique_index_creation_fails_on_duplicates() {
         let mut t = table();
-        t.insert(row(1, "a", 10)).unwrap();
-        t.insert(row(2, "a", 20)).unwrap();
+        t.insert(None, row(1, "a", 10)).unwrap();
+        t.insert(None, row(2, "a", 20)).unwrap();
         let err = t
             .create_index("u_name", &["name".into()], true)
             .unwrap_err();
@@ -1400,10 +1363,10 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        t.insert(vec![Value::Int(1), Value::Null]).unwrap();
-        t.insert(vec![Value::Int(2), Value::Null]).unwrap(); // two NULLs fine
-        t.insert(vec![Value::Int(3), Value::Int(9)]).unwrap();
-        assert!(t.insert(vec![Value::Int(4), Value::Int(9)]).is_err());
+        t.insert(None, vec![Value::Int(1), Value::Null]).unwrap();
+        t.insert(None, vec![Value::Int(2), Value::Null]).unwrap(); // two NULLs fine
+        t.insert(None, vec![Value::Int(3), Value::Int(9)]).unwrap();
+        assert!(t.insert(None, vec![Value::Int(4), Value::Int(9)]).is_err());
     }
 
     #[test]
@@ -1430,7 +1393,7 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        let id = t.insert(vec![Value::Int(1), Value::Null]).unwrap();
+        let id = t.insert(None, vec![Value::Int(1), Value::Null]).unwrap();
         assert_eq!(t.get(id).unwrap()[1], Value::Int(42));
     }
 
@@ -1451,18 +1414,18 @@ mod tests {
         let mut t = table();
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
-        t.insert(vec![Value::Int(1), Value::Null, Value::Int(5)])
+        t.insert(None, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
-        t.insert(vec![Value::Int(2), Value::Null, Value::Int(5)])
+        t.insert(None, vec![Value::Int(2), Value::Null, Value::Int(5)])
             .unwrap();
-        t.insert(vec![Value::Int(3), Value::text("a"), Value::Null])
+        t.insert(None, vec![Value::Int(3), Value::text("a"), Value::Null])
             .unwrap();
-        t.insert(vec![Value::Int(4), Value::text("a"), Value::Null])
+        t.insert(None, vec![Value::Int(4), Value::text("a"), Value::Null])
             .unwrap();
         assert_eq!(t.len(), 4);
         // Fully non-NULL duplicates are still rejected.
-        t.insert(row(5, "b", 7)).unwrap();
-        let err = t.insert(row(6, "b", 7)).unwrap_err();
+        t.insert(None, row(5, "b", 7)).unwrap();
+        let err = t.insert(None, row(6, "b", 7)).unwrap_err();
         assert_eq!(err.class(), "constraint");
     }
 
@@ -1472,28 +1435,28 @@ mod tests {
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
         let id = t
-            .insert(vec![Value::Int(1), Value::Null, Value::Int(5)])
+            .insert(None, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
 
         // NULL → value: the row must move to the concrete key and start
         // participating in uniqueness.
-        t.update(id, row(1, "a", 5)).unwrap();
+        t.update(None, id, row(1, "a", 5)).unwrap();
         let idx = t.find_index(&[1, 2]).unwrap();
         let hits: Vec<_> = idx
             .lookup(&SortKey(vec![Value::text("a"), Value::Int(5)]))
             .collect();
         assert_eq!(hits, vec![id]);
-        let err = t.insert(row(2, "a", 5)).unwrap_err();
+        let err = t.insert(None, row(2, "a", 5)).unwrap_err();
         assert_eq!(err.class(), "constraint");
 
         // value → NULL: leaves the concrete key free again.
-        t.update(id, vec![Value::Int(1), Value::Null, Value::Int(5)])
+        t.update(None, id, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
-        t.insert(row(2, "a", 5)).unwrap();
+        t.insert(None, row(2, "a", 5)).unwrap();
 
         // NULL-key update where the key is unchanged (the borrowed
         // comparison short-circuits; NULL == NULL under total order).
-        t.update(id, vec![Value::Int(1), Value::Null, Value::Int(5)])
+        t.update(None, id, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
         assert_eq!(t.len(), 2);
     }
@@ -1504,22 +1467,22 @@ mod tests {
         t.create_index("u", &["name".into(), "qty".into()], true)
             .unwrap();
         let a = t
-            .insert(vec![Value::Int(1), Value::Null, Value::Int(5)])
+            .insert(None, vec![Value::Int(1), Value::Null, Value::Int(5)])
             .unwrap();
         let b = t
-            .insert(vec![Value::Int(2), Value::Null, Value::Int(5)])
+            .insert(None, vec![Value::Int(2), Value::Null, Value::Int(5)])
             .unwrap();
-        t.delete(a).unwrap();
+        t.delete(None, a).unwrap();
         let idx = t.find_index(&[1, 2]).unwrap();
         let hits: Vec<_> = idx
             .lookup(&SortKey(vec![Value::Null, Value::Int(5)]))
             .collect();
         assert_eq!(hits, vec![b]);
-        t.delete(b).unwrap();
+        t.delete(None, b).unwrap();
         assert_eq!(t.find_index(&[1, 2]).unwrap().key_count(), 0);
     }
 
-    // ---- MVCC version-chain semantics (snapshot installed) ----
+    // ---- MVCC version-chain semantics (reads and writes under a snapshot) ----
 
     fn snap(ts: u64) -> (Snapshot, TxnStamp) {
         let stamp = new_stamp();
@@ -1532,60 +1495,47 @@ mod tests {
         )
     }
 
+    /// The version of row `id` visible to `snap`.
+    fn visible<'t>(t: &'t Table, snap: &Snapshot, id: RowId) -> Option<&'t Arc<Row>> {
+        t.iter(Some(snap)).find(|&(i, _)| i == id).map(|(_, r)| r)
+    }
+
     #[test]
     fn versioned_update_preserves_old_version_for_older_snapshot() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap(); // bootstrap ts=1
+        let id = t.insert(None, row(1, "a", 10)).unwrap(); // bootstrap ts=1
 
         // Writer at snapshot ts=5 updates; not yet committed.
         let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "a", 20)).unwrap();
-            // Writer sees its own uncommitted version.
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(20));
-        }
+        t.update(Some(&wsnap), id, row(1, "a", 20)).unwrap();
+        // Writer sees its own uncommitted version.
+        assert_eq!(visible(&t, &wsnap, id).unwrap()[2], Value::Int(20));
         assert_eq!(t.version_count(), 2);
 
         // A reader snapshot (any ts) does not see the uncommitted write.
         let (rsnap, _) = snap(9);
-        {
-            let _scope = enter_snapshot(rsnap);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(10));
-        }
+        assert_eq!(visible(&t, &rsnap, id).unwrap()[2], Value::Int(10));
 
         // Commit at ts=6: readers at ts>=6 see it, older snapshots don't.
         wstamp.store(6, AtomicOrd::Release);
         let (new_r, _) = snap(9);
-        {
-            let _scope = enter_snapshot(new_r);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(20));
-        }
+        assert_eq!(visible(&t, &new_r, id).unwrap()[2], Value::Int(20));
         let (old_r, _) = snap(5);
-        {
-            let _scope = enter_snapshot(old_r);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(10));
-        }
+        assert_eq!(visible(&t, &old_r, id).unwrap()[2], Value::Int(10));
     }
 
     #[test]
     fn versioned_delete_is_tombstone_until_gc() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
+        let id = t.insert(None, row(1, "a", 10)).unwrap();
         let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            t.delete(id).unwrap();
-            assert!(t.get_visible(id).is_none()); // own delete visible
-        }
-        // Old snapshot still sees the row.
+        t.delete(Some(&wsnap), id).unwrap();
+        assert!(visible(&t, &wsnap, id).is_none()); // own delete visible
+                                                    // Old snapshot still sees the row.
         let (r, _) = snap(5);
-        {
-            let _scope = enter_snapshot(r);
-            assert_eq!(t.get_visible(id).unwrap()[0], Value::Int(1));
-            let all: Vec<_> = t.iter().collect();
-            assert_eq!(all.len(), 1);
-        }
+        assert_eq!(visible(&t, &r, id).unwrap()[0], Value::Int(1));
+        let all: Vec<_> = t.iter(Some(&r)).collect();
+        assert_eq!(all.len(), 1);
         assert_eq!(t.len(), 0); // physically dead (newest is tombstone)
         wstamp.store(6, AtomicOrd::Release);
         // After commit + GC past the tombstone, the chain is gone.
@@ -1596,15 +1546,12 @@ mod tests {
     #[test]
     fn stamped_undo_restores_exact_state() {
         let mut t = table();
-        let a = t.insert(row(1, "a", 10)).unwrap();
+        let a = t.insert(None, row(1, "a", 10)).unwrap();
         let (wsnap, wstamp) = snap(5);
-        let b;
-        {
-            let _scope = enter_snapshot(wsnap);
-            b = t.insert(row(2, "b", 20)).unwrap();
-            t.update(a, row(1, "a", 99)).unwrap();
-            t.delete(a).unwrap();
-        }
+        let w = Some(&wsnap);
+        let b = t.insert(w, row(2, "b", 20)).unwrap();
+        t.update(w, a, row(1, "a", 99)).unwrap();
+        t.delete(w, a).unwrap();
         // Roll all three back (reverse order, as the undo log would).
         t.undo_delete(a, &wstamp);
         t.undo_update(a, &wstamp);
@@ -1613,73 +1560,62 @@ mod tests {
         assert_eq!(t.version_count(), 1);
         assert_eq!(t.get(a).unwrap()[2], Value::Int(10));
         // Index state restored: key 2 free again, key 1 still taken.
-        t.insert(row(2, "b2", 1)).unwrap();
-        assert!(t.insert(row(1, "dup", 1)).is_err());
+        t.insert(None, row(2, "b2", 1)).unwrap();
+        assert!(t.insert(None, row(1, "dup", 1)).is_err());
     }
 
     #[test]
     fn index_entries_follow_visibility() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
-        t.insert(row(2, "b", 20)).unwrap();
+        let id = t.insert(None, row(1, "a", 10)).unwrap();
+        t.insert(None, row(2, "b", 20)).unwrap();
         t.create_index("t_name", &["name".into()], false).unwrap();
 
         let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "z", 11)).unwrap();
-        }
+        t.update(Some(&wsnap), id, row(1, "z", 11)).unwrap();
         wstamp.store(6, AtomicOrd::Release);
 
         // Old snapshot: sees the row under its old key, not the new one.
         let (old_r, _) = snap(5);
-        {
-            let _scope = enter_snapshot(old_r);
-            let idx = t.find_index(&[1]).unwrap();
-            let a_hits = t.index_eq_entries(idx, &SortKey(vec![Value::text("a")]));
-            assert_eq!(a_hits.len(), 1);
-            assert_eq!(a_hits[0].1[2], Value::Int(10));
-            assert!(t
-                .index_eq_entries(idx, &SortKey(vec![Value::text("z")]))
-                .is_empty());
-            // Range walk emits each visible row exactly once.
-            let all = t.index_range_entries(idx, None, None, false, true, None);
-            assert_eq!(all.len(), 2);
-        }
+        let old_r = Some(&old_r);
+        let idx = t.find_index(&[1]).unwrap();
+        let a_hits = t.index_eq_entries(old_r, idx, &SortKey(vec![Value::text("a")]));
+        assert_eq!(a_hits.len(), 1);
+        assert_eq!(a_hits[0].1[2], Value::Int(10));
+        assert!(t
+            .index_eq_entries(old_r, idx, &SortKey(vec![Value::text("z")]))
+            .is_empty());
+        // Range walk emits each visible row exactly once.
+        let all = t.index_range_entries(old_r, idx, None, None, false, true, None);
+        assert_eq!(all.len(), 2);
+
         // New snapshot: new key only.
         let (new_r, _) = snap(6);
-        {
-            let _scope = enter_snapshot(new_r);
-            let idx = t.find_index(&[1]).unwrap();
-            assert!(t
-                .index_eq_entries(idx, &SortKey(vec![Value::text("a")]))
-                .is_empty());
-            assert_eq!(
-                t.index_eq_entries(idx, &SortKey(vec![Value::text("z")]))
-                    .len(),
-                1
-            );
-            let all = t.index_range_entries(idx, None, None, false, true, None);
-            assert_eq!(all.len(), 2);
-        }
+        let new_r = Some(&new_r);
+        assert!(t
+            .index_eq_entries(new_r, idx, &SortKey(vec![Value::text("a")]))
+            .is_empty());
+        assert_eq!(
+            t.index_eq_entries(new_r, idx, &SortKey(vec![Value::text("z")]))
+                .len(),
+            1
+        );
+        let all = t.index_range_entries(new_r, idx, None, None, false, true, None);
+        assert_eq!(all.len(), 2);
     }
 
     #[test]
     fn stale_index_entries_do_not_block_unique_inserts() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 10)).unwrap();
+        let id = t.insert(None, row(1, "a", 10)).unwrap();
         let (wsnap, wstamp) = snap(5);
-        {
-            let _scope = enter_snapshot(wsnap);
-            // Move pk 1 -> 7; the historical pk-1 entry must not block a
-            // fresh insert of pk 1, and pk 7 must now clash.
-            t.update(id, row(7, "a", 10)).unwrap();
-        }
+        // Move pk 1 -> 7; the historical pk-1 entry must not block a
+        // fresh insert of pk 1, and pk 7 must now clash.
+        t.update(Some(&wsnap), id, row(7, "a", 10)).unwrap();
         wstamp.store(6, AtomicOrd::Release);
         let (w2, _) = snap(6);
-        let _scope = enter_snapshot(w2);
-        t.insert(row(1, "fresh", 1)).unwrap();
-        assert!(t.insert(row(7, "dup", 1)).is_err());
+        t.insert(Some(&w2), row(1, "fresh", 1)).unwrap();
+        assert!(t.insert(Some(&w2), row(7, "dup", 1)).is_err());
     }
 
     #[test]
@@ -1690,11 +1626,10 @@ mod tests {
         let shared = Arc::new(MvccShared::default());
         shared.floor.store(1, AtomicOrd::Release);
         t.attach_mvcc(Arc::clone(&shared));
-        let id = t.insert(row(1, "a", 0)).unwrap();
+        let id = t.insert(None, row(1, "a", 0)).unwrap();
         for (i, commit_ts) in [(1i64, 10u64), (2, 20), (3, 30)] {
             let (wsnap, wstamp) = snap(commit_ts - 1);
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "a", i)).unwrap();
+            t.update(Some(&wsnap), id, row(1, "a", i)).unwrap();
             wstamp.store(commit_ts, AtomicOrd::Release);
         }
         assert_eq!(t.version_count(), 4);
@@ -1705,10 +1640,7 @@ mod tests {
         assert_eq!(t.version_count(), 3);
         // Snapshot at 15 still reads qty=1 (the ts=10 version).
         let (r, _) = snap(15);
-        {
-            let _scope = enter_snapshot(r);
-            assert_eq!(t.get_visible(id).unwrap()[2], Value::Int(1));
-        }
+        assert_eq!(visible(&t, &r, id).unwrap()[2], Value::Int(1));
         // No active snapshots: everything but the newest drops.
         t.gc_versions(u64::MAX);
         assert_eq!(t.version_count(), 1);
@@ -1718,14 +1650,13 @@ mod tests {
     #[test]
     fn inline_trim_bounds_chain_growth() {
         let mut t = table();
-        let id = t.insert(row(1, "a", 0)).unwrap();
+        let id = t.insert(None, row(1, "a", 0)).unwrap();
         // Repeated committed autocommit updates with no active snapshots
         // (floor = MAX): chains must not grow without bound.
         for i in 1..100i64 {
-            let (wsnap, wstamp) = snap(u64::MAX - 1);
             // floor stays MAX in this direct-table test
-            let _scope = enter_snapshot(wsnap);
-            t.update(id, row(1, "a", i)).unwrap();
+            let (wsnap, wstamp) = snap(u64::MAX - 1);
+            t.update(Some(&wsnap), id, row(1, "a", i)).unwrap();
             wstamp.store(i as u64 + 1, AtomicOrd::Release);
         }
         assert!(t.version_count() <= 3, "chain grew: {}", t.version_count());
@@ -1740,16 +1671,13 @@ mod tests {
         let bounded = |t: &Table| t.rows.slots.len() <= 2 * t.len() + 2;
         for round in 0..50u64 {
             let ids: Vec<RowId> = (0..256)
-                .map(|i| t.insert(row(i, "c", i)).unwrap())
+                .map(|i| t.insert(None, row(i, "c", i)).unwrap())
                 .collect();
             assert!(bounded(&t), "round {round}: {} slots", t.rows.slots.len());
 
             let (wsnap, wstamp) = snap(2 * round + 1);
-            {
-                let _scope = enter_snapshot(wsnap);
-                for (pk, &id) in ids.iter().enumerate().step_by(2) {
-                    t.update(id, row(pk as i64, "u", 0)).unwrap();
-                }
+            for (pk, &id) in ids.iter().enumerate().step_by(2) {
+                t.update(Some(&wsnap), id, row(pk as i64, "u", 0)).unwrap();
             }
             wstamp.store(2 * round + 2, AtomicOrd::Release);
             t.gc_versions(u64::MAX);
@@ -1759,11 +1687,8 @@ mod tests {
             );
 
             let (wsnap, wstamp) = snap(2 * round + 2);
-            {
-                let _scope = enter_snapshot(wsnap);
-                for &id in &ids {
-                    t.delete(id).unwrap();
-                }
+            for &id in &ids {
+                t.delete(Some(&wsnap), id).unwrap();
             }
             wstamp.store(2 * round + 3, AtomicOrd::Release);
             t.gc_versions(u64::MAX);

@@ -10,12 +10,12 @@
 //! Concurrency note: statements run under MVCC snapshots (see
 //! `storage.rs`): an open transaction's writes are versions stamped with
 //! its [`TxnStamp`] and stay invisible to other connections until COMMIT
-//! publishes the commit timestamp. A *stamped* log therefore rolls row
-//! ops back surgically — `undo_insert`/`undo_update`/`undo_delete`
-//! remove exactly the version this transaction pushed, leaving versions
-//! other transactions stacked above or below untouched. A stampless log
-//! (WAL recovery, direct `Table` tests) falls back to flat physical
-//! undo, byte-identical to the single-version engine.
+//! publishes the commit timestamp. Every log carries the stamp its row
+//! writes were made under, so rollback undoes row ops surgically —
+//! `undo_insert`/`undo_update`/`undo_delete` remove exactly the version
+//! this transaction pushed, leaving versions other transactions stacked
+//! above or below untouched. (WAL recovery undoes losers from the log
+//! itself, through `wal::apply_undo`, not through an `UndoLog`.)
 
 use crate::catalog::{Catalog, Procedure, Sequence, View};
 use crate::storage::{Index, Row, RowId, Table, TxnStamp};
@@ -68,26 +68,20 @@ pub enum UndoOp {
 }
 
 /// An ordered list of compensation entries.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct UndoLog {
     ops: Vec<UndoOp>,
-    /// The version stamp this log's row writes carry. When set, rollback
-    /// removes exactly the stamped versions; when `None` (recovery,
-    /// direct-table tests), rollback applies flat physical compensation.
-    stamp: Option<TxnStamp>,
+    /// The version stamp this log's row writes carry: rollback removes
+    /// exactly the versions stamped with it.
+    stamp: TxnStamp,
 }
 
 impl UndoLog {
-    /// Empty log.
-    pub fn new() -> UndoLog {
-        UndoLog::default()
-    }
-
     /// Empty log whose row writes are stamped with `stamp`.
     pub fn with_stamp(stamp: TxnStamp) -> UndoLog {
         UndoLog {
             ops: Vec::new(),
-            stamp: Some(stamp),
+            stamp,
         }
     }
 
@@ -123,9 +117,8 @@ impl UndoLog {
     /// exclusive guard through [`undo_row`]; the statement holds no guard
     /// of its own by the time it rolls back.
     pub fn rollback_rows(self, catalog: &Catalog) {
-        let stamp = self.stamp;
         for op in self.ops.into_iter().rev() {
-            undo_row(catalog, op, stamp.as_ref());
+            undo_row(catalog, op, &self.stamp);
         }
     }
 
@@ -136,11 +129,10 @@ impl UndoLog {
     /// the intermediate states exactly. Failures (which would indicate
     /// corruption) are ignored rather than panicking.
     pub fn rollback(self, catalog: &mut Catalog) {
-        let stamp = self.stamp;
         for op in self.ops.into_iter().rev() {
             match op {
                 op @ (UndoOp::Insert { .. } | UndoOp::Delete { .. } | UndoOp::Update { .. }) => {
-                    undo_row(catalog, op, stamp.as_ref());
+                    undo_row(catalog, op, &self.stamp);
                 }
                 UndoOp::CreateTable { name } => {
                     let _ = catalog.remove_table(&name);
@@ -197,13 +189,12 @@ impl UndoLog {
 }
 
 /// Undo one row entry under its table's exclusive guard: remove exactly
-/// the version `stamp` pushed, or — stampless (recovery, direct-table
-/// tests) — apply flat physical compensation. The one per-op row undo,
-/// shared by statement and transaction rollback.
-fn undo_row(catalog: &Catalog, op: UndoOp, stamp: Option<&TxnStamp>) {
-    let (UndoOp::Insert { table, .. }
-    | UndoOp::Delete { table, .. }
-    | UndoOp::Update { table, .. }) = &op
+/// the version `stamp` pushed. The one per-op row undo, shared by
+/// statement and transaction rollback.
+fn undo_row(catalog: &Catalog, op: UndoOp, stamp: &TxnStamp) {
+    let (UndoOp::Insert { table, row_id }
+    | UndoOp::Delete { table, row_id, .. }
+    | UndoOp::Update { table, row_id, .. }) = &op
     else {
         debug_assert!(false, "undo_row takes only row entries");
         return;
@@ -211,15 +202,10 @@ fn undo_row(catalog: &Catalog, op: UndoOp, stamp: Option<&TxnStamp>) {
     let Ok(mut t) = catalog.table_mut(table) else {
         return;
     };
-    match (op, stamp) {
-        (UndoOp::Insert { row_id, .. }, Some(s)) => t.undo_insert(row_id, s),
-        (UndoOp::Insert { row_id, .. }, None) => {
-            let _ = t.delete(row_id);
-        }
-        (UndoOp::Delete { row_id, .. }, Some(s)) => t.undo_delete(row_id, s),
-        (UndoOp::Delete { row_id, row, .. }, None) => t.restore(row_id, row),
-        (UndoOp::Update { row_id, .. }, Some(s)) => t.undo_update(row_id, s),
-        (UndoOp::Update { row_id, old, .. }, None) => t.restore(row_id, old),
+    match &op {
+        UndoOp::Insert { .. } => t.undo_insert(*row_id, stamp),
+        UndoOp::Delete { .. } => t.undo_delete(*row_id, stamp),
+        UndoOp::Update { .. } => t.undo_update(*row_id, stamp),
         _ => {}
     }
 }
@@ -228,7 +214,9 @@ fn undo_row(catalog: &Catalog, op: UndoOp, stamp: Option<&TxnStamp>) {
 mod tests {
     use super::*;
     use crate::schema::{Column, TableSchema};
+    use crate::storage::{new_stamp, Snapshot};
     use crate::types::{DataType, Value};
+    use std::sync::Arc;
 
     fn catalog_with_table() -> Catalog {
         let mut c = Catalog::new();
@@ -249,14 +237,25 @@ mod tests {
         c
     }
 
+    /// An uncommitted writer: the snapshot its row writes go under, and
+    /// an empty log stamped like them.
+    fn writer() -> (Snapshot, UndoLog) {
+        let stamp = new_stamp();
+        let snap = Snapshot {
+            ts: 1,
+            stamp: Arc::clone(&stamp),
+        };
+        (snap, UndoLog::with_stamp(stamp))
+    }
+
     #[test]
     fn rollback_insert() {
         let mut c = catalog_with_table();
-        let mut log = UndoLog::new();
+        let (snap, mut log) = writer();
         let id = c
             .table_mut("t")
             .unwrap()
-            .insert(vec![Value::Int(1), Value::text("a")])
+            .insert(Some(&snap), vec![Value::Int(1), Value::text("a")])
             .unwrap();
         log.record(UndoOp::Insert {
             table: "t".into(),
@@ -272,10 +271,10 @@ mod tests {
         let id = c
             .table_mut("t")
             .unwrap()
-            .insert(vec![Value::Int(1), Value::text("a")])
+            .insert(None, vec![Value::Int(1), Value::text("a")])
             .unwrap();
-        let mut log = UndoLog::new();
-        let row = c.table_mut("t").unwrap().delete(id).unwrap();
+        let (snap, mut log) = writer();
+        let row = c.table_mut("t").unwrap().delete(Some(&snap), id).unwrap();
         log.record(UndoOp::Delete {
             table: "t".into(),
             row_id: id,
@@ -292,13 +291,13 @@ mod tests {
         let id = c
             .table_mut("t")
             .unwrap()
-            .insert(vec![Value::Int(1), Value::text("old")])
+            .insert(None, vec![Value::Int(1), Value::text("old")])
             .unwrap();
-        let mut log = UndoLog::new();
+        let (snap, mut log) = writer();
         let old = c
             .table_mut("t")
             .unwrap()
-            .update(id, vec![Value::Int(1), Value::text("new")])
+            .update(Some(&snap), id, vec![Value::Int(1), Value::text("new")])
             .unwrap();
         log.record(UndoOp::Update {
             table: "t".into(),
@@ -316,20 +315,23 @@ mod tests {
     fn rollback_reverses_in_order() {
         // insert then update then delete of the same row rolls back cleanly.
         let mut c = catalog_with_table();
-        let mut log = UndoLog::new();
+        let (snap, mut log) = writer();
+        let w = Some(&snap);
         let mut t = c.table_mut("t").unwrap();
-        let id = t.insert(vec![Value::Int(9), Value::text("x")]).unwrap();
+        let id = t.insert(w, vec![Value::Int(9), Value::text("x")]).unwrap();
         log.record(UndoOp::Insert {
             table: "t".into(),
             row_id: id,
         });
-        let old = t.update(id, vec![Value::Int(9), Value::text("y")]).unwrap();
+        let old = t
+            .update(w, id, vec![Value::Int(9), Value::text("y")])
+            .unwrap();
         log.record(UndoOp::Update {
             table: "t".into(),
             row_id: id,
             old,
         });
-        let row = t.delete(id).unwrap();
+        let row = t.delete(w, id).unwrap();
         log.record(UndoOp::Delete {
             table: "t".into(),
             row_id: id,
@@ -343,7 +345,7 @@ mod tests {
     #[test]
     fn rollback_ddl() {
         let mut c = Catalog::new();
-        let mut log = UndoLog::new();
+        let (_, mut log) = writer();
         let schema = TableSchema::new("n", vec![Column::new("a", DataType::Int)], false).unwrap();
         c.add_table(Table::new(schema)).unwrap();
         log.record(UndoOp::CreateTable { name: "n".into() });
@@ -357,11 +359,11 @@ mod tests {
     #[test]
     fn rollback_drop_table_restores_contents() {
         let mut c = catalog_with_table();
+        let (snap, mut log) = writer();
         c.table_mut("t")
             .unwrap()
-            .insert(vec![Value::Int(5), Value::text("keep")])
+            .insert(Some(&snap), vec![Value::Int(5), Value::text("keep")])
             .unwrap();
-        let mut log = UndoLog::new();
         let table = c.remove_table("t").unwrap();
         log.record(UndoOp::DropTable { table });
         log.rollback(&mut c);
@@ -370,9 +372,9 @@ mod tests {
 
     #[test]
     fn absorb_concatenates() {
-        let mut a = UndoLog::new();
+        let (_, mut a) = writer();
         a.record(UndoOp::CreateTable { name: "x".into() });
-        let mut b = UndoLog::new();
+        let (_, mut b) = writer();
         b.record(UndoOp::CreateTable { name: "y".into() });
         a.absorb(b);
         assert_eq!(a.len(), 2);

@@ -59,7 +59,7 @@ use crate::catalog::{Catalog, Sequence};
 use crate::error::{SqlError, SqlResult};
 use crate::fault::crashed_error;
 use crate::schema::{Column, TableSchema};
-use crate::storage::{Row, RowId, Table};
+use crate::storage::{Row, RowId, Snapshot, Table};
 use crate::sync::{Mutex, TableReadGuard};
 use crate::txn::UndoOp;
 use crate::types::{DataType, Value};
@@ -929,7 +929,7 @@ pub(crate) fn image_of(catalog: &Catalog, table: &Table) -> TableImage {
         schema: table.schema.clone(),
         next_row_id: table.next_row_id(),
         rows: table
-            .iter()
+            .iter(None)
             .map(|(id, row)| (id, (**row).clone()))
             .collect(),
         indexes: index_defs_of(catalog, table),
@@ -962,8 +962,9 @@ pub fn snapshot_catalog(catalog: &Catalog) -> CheckpointSnapshot {
 /// what the statement produced.
 ///
 /// Views and stored procedures are skipped (not crash-durable), as is
-/// anything touching a temporary table.
-pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
+/// anything touching a temporary table. A dropped table's image holds
+/// the rows the dropping statement's `snapshot` saw.
+pub fn ops_from_undo(catalog: &Catalog, snapshot: &Snapshot, undo_ops: &[UndoOp]) -> Vec<WalOp> {
     let mut out = Vec::with_capacity(undo_ops.len());
     let mut run = RunTable {
         catalog,
@@ -1021,7 +1022,7 @@ pub fn ops_from_undo(catalog: &Catalog, undo_ops: &[UndoOp]) -> Vec<WalOp> {
                         schema: table.schema.clone(),
                         next_row_id: table.next_row_id(),
                         rows: table
-                            .iter()
+                            .iter(Some(snapshot))
                             .map(|(id, row)| (id, (**row).clone()))
                             .collect(),
                         indexes: table
@@ -1164,7 +1165,7 @@ pub(crate) fn apply_redo(catalog: &mut Catalog, op: &WalOp) {
         }
         WalOp::Delete { table, row_id, .. } => {
             if let Ok(mut t) = catalog.table_mut(table) {
-                let _ = t.delete(*row_id);
+                let _ = t.delete(None, *row_id);
             }
         }
         WalOp::CreateTable { schema } => {
@@ -1208,7 +1209,7 @@ fn apply_undo(catalog: &mut Catalog, op: &WalOp) {
     match op {
         WalOp::Insert { table, row_id, .. } => {
             if let Ok(mut t) = catalog.table_mut(table) {
-                let _ = t.delete(*row_id);
+                let _ = t.delete(None, *row_id);
             }
         }
         WalOp::Update {
@@ -2176,8 +2177,9 @@ mod tests {
         )
         .unwrap();
         let mut t = Table::new(schema);
-        t.insert(vec![Value::Int(1), Value::Float(1.5)]).unwrap();
-        t.insert(vec![Value::Int(2), Value::Null]).unwrap();
+        t.insert(None, vec![Value::Int(1), Value::Float(1.5)])
+            .unwrap();
+        t.insert(None, vec![Value::Int(2), Value::Null]).unwrap();
         t.create_index("o_x", &["x".into()], false).unwrap();
         catalog.add_table(t).unwrap();
         catalog.register_index("o_x", "o").unwrap();

@@ -3,7 +3,7 @@
 //! (as rendered text rows) or the expected error class.
 
 use sqlkernel::parser::parse_statement;
-use sqlkernel::{Database, Value};
+use sqlkernel::{Database, SqlError, Value};
 
 /// Run `sql` against a fresh database seeded with `setup`, compare the
 /// rendered rows with `expect` (cells joined by `|`).
@@ -531,4 +531,38 @@ fn unknown_columns_fail_at_bind_time_on_every_entry_point() {
         let expect = if with_rows { 2 } else { 0 };
         assert_eq!(rows.rows[0][0], Value::Int(expect), "{sql} wrote rows");
     }
+}
+
+/// A view cycle (`va` → `vb` → `va`) cannot be created directly, but
+/// dropping and re-creating one end closes it. Expanding it must stop
+/// at the nesting bound with a runtime error — whether the cycle is
+/// reached from FROM, from a subquery, or from a derived table — rather
+/// than recurse without end. A healthy view still reads afterwards.
+#[test]
+fn recursive_view_expansion_is_bounded() {
+    let db = Database::new("view_cycle");
+    let conn = db.connect();
+    conn.execute_script(
+        "CREATE TABLE t (a INT PRIMARY KEY);
+         INSERT INTO t VALUES (1), (2);
+         CREATE VIEW va AS SELECT a FROM t;
+         CREATE VIEW vb AS SELECT a FROM va;
+         DROP VIEW va;
+         CREATE VIEW va AS SELECT a FROM vb;
+         CREATE VIEW ok AS SELECT a FROM t WHERE a > 1;",
+    )
+    .expect("setup");
+    for sql in [
+        "SELECT a FROM va",
+        "SELECT a FROM t WHERE a IN (SELECT a FROM va)",
+        "SELECT d.a FROM (SELECT a FROM va) d",
+    ] {
+        let err = conn.query(sql, &[]).expect_err(&format!("{sql} must fail"));
+        assert!(
+            matches!(&err, SqlError::Runtime(m) if m.starts_with("view expansion too deep")),
+            "{sql} → {err:?}"
+        );
+    }
+    let rs = conn.query("SELECT a FROM ok", &[]).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(2)]]);
 }

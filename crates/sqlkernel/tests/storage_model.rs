@@ -1,18 +1,21 @@
 //! Model test for `Table` row storage: seeded random sequences of
 //! insert, update, delete, `restore` (of fresh and of held ids),
-//! `undo_*` and `gc_versions`, in flat mode and under snapshots,
-//! checked after every step against a
+//! `undo_*` and `gc_versions`, in flat mode (`None`) and under explicit
+//! snapshots, checked after every step against a
 //! `BTreeMap<RowId, Vec<(txn, Option<Row>)>>` of version lists. Every
-//! read surface — `iter`/`scan` order, `get`, `get_visible`,
-//! `index_eq_entries`, the whole and the bounded `index_range_entries`
-//! walks, `len`, `version_count` and the GC counter — must match the
-//! model exactly.
+//! read surface — `iter`/`scan` order, `get`, the visible version of
+//! single ids, `index_eq_entries`, the whole and the bounded
+//! `index_range_entries` walks, `len`, `version_count` and the GC
+//! counter — must match the model exactly.
+//!
+//! `CHAOS_SEED` (which the CI rotation exports) adds one more seed to
+//! both sequences without editing the test.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use sqlkernel::storage::{enter_snapshot, new_stamp, MvccShared, Row, RowId, Snapshot, SortKey};
+use sqlkernel::storage::{new_stamp, MvccShared, Row, RowId, Snapshot, SortKey};
 use sqlkernel::storage::{Table, TxnStamp};
 use sqlkernel::types::{DataType, Value};
 use sqlkernel::{Column, SplitMix64, TableSchema};
@@ -146,30 +149,54 @@ struct Writer {
     undo: Vec<(char, RowId)>,
 }
 
-/// Compare every read surface of `t` with the model under one view;
-/// `probes` are the ids to fetch one by one.
-fn check_view(t: &Table, m: &Model, view: View, probes: &[RowId], probe_key: i64, ctx: &str) {
+/// Seeds every run takes, plus the one `CHAOS_SEED` names, if any.
+fn seeds() -> Vec<u64> {
+    let mut seeds = vec![1, 2, 3, 0x5eed];
+    if let Some(extra) = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse::<u64>().ok())
+    {
+        if !seeds.contains(&extra) {
+            seeds.push(extra);
+        }
+    }
+    seeds
+}
+
+/// Compare every read surface of `t` with the model under one view,
+/// read through `snap` (`None` for the flat view); `probes` are the ids
+/// to fetch one by one.
+fn check_view(
+    t: &Table,
+    m: &Model,
+    snap: Option<&Snapshot>,
+    view: View,
+    probes: &[RowId],
+    probe_key: i64,
+    ctx: &str,
+) {
     let want: Vec<(RowId, &Row)> = m
         .chains
         .keys()
         .filter_map(|&id| m.visible(id, view).map(|r| (id, r)))
         .collect();
-    let got: Vec<(RowId, &Row)> = t.iter().map(|(id, r)| (id, &**r)).collect();
+    let got: Vec<(RowId, &Row)> = t.iter(snap).map(|(id, r)| (id, &**r)).collect();
     assert_eq!(got, want, "{ctx}: iter under {view:?}");
-    let scanned: Vec<&Row> = t.scan().map(|r| &**r).collect();
+    let scanned: Vec<&Row> = t.scan(snap).map(|r| &**r).collect();
     let want_rows: Vec<&Row> = want.iter().map(|(_, r)| *r).collect();
     assert_eq!(scanned, want_rows, "{ctx}: scan under {view:?}");
     for &id in probes {
+        let visible = t.iter(snap).find(|&(i, _)| i == id).map(|(_, r)| &**r);
         assert_eq!(
-            t.get_visible(id).map(|r| &**r),
+            visible,
             m.visible(id, view),
-            "{ctx}: get_visible({id}) under {view:?}"
+            "{ctx}: visible({id}) under {view:?}"
         );
     }
     let key = SortKey(vec![Value::Int(probe_key)]);
     let idx = t.find_index(&[0]).unwrap();
     let hits: Vec<(RowId, &Row)> = t
-        .index_eq_entries(idx, &key)
+        .index_eq_entries(snap, idx, &key)
         .into_iter()
         .map(|(id, r)| (id, &**r))
         .collect();
@@ -189,7 +216,7 @@ fn check_view(t: &Table, m: &Model, view: View, probes: &[RowId], probe_key: i64
             if rev { by_key.reverse() } else { by_key }.then(ia.cmp(ib))
         });
         let walk = |limit| -> Vec<(RowId, &Row)> {
-            t.index_range_entries(idx, None, None, rev, true, limit)
+            t.index_range_entries(snap, idx, None, None, rev, true, limit)
                 .into_iter()
                 .map(|(id, r)| (id, &**r))
                 .collect()
@@ -232,8 +259,7 @@ fn check(
     probes.push(m.next_row_id);
     let probe_key = rng.next_below(KEYS) as i64;
     for (snapshot, view) in views {
-        let _scope = snapshot.clone().map(enter_snapshot);
-        check_view(t, m, *view, &probes, probe_key, ctx);
+        check_view(t, m, snapshot.as_ref(), *view, &probes, probe_key, ctx);
     }
 }
 
@@ -268,8 +294,8 @@ fn existing_target(rng: &mut SplitMix64, m: &Model) -> RowId {
     1 + rng.next_below(m.next_row_id - 1)
 }
 
-/// Flat mode: no snapshot is ever installed, so every chain stays one
-/// version and delete removes the chain.
+/// Flat mode: every write goes without a snapshot, so every chain stays
+/// one version and delete removes the chain.
 fn run_flat(seed: u64, steps: usize) {
     let mut rng = SplitMix64::new(seed);
     let shared = Arc::new(MvccShared::default());
@@ -286,14 +312,14 @@ fn run_flat(seed: u64, steps: usize) {
         match roll {
             0..=34 if growing => {
                 let row = random_row(&mut rng);
-                let got = t.insert(row.clone()).unwrap();
+                let got = t.insert(None, row.clone()).unwrap();
                 assert_eq!(got, m.next_row_id, "{ctx}: insert id");
                 m.chains.insert(got, vec![(BOOTSTRAP, Some(row))]);
                 m.next_row_id += 1;
             }
             0..=49 => {
                 let row = random_row(&mut rng);
-                let res = t.update(id, row.clone());
+                let res = t.update(None, id, row.clone());
                 match m.visible(id, None).cloned() {
                     Some(old) => {
                         assert_eq!(res.unwrap(), old, "{ctx}: update returns old row");
@@ -303,7 +329,7 @@ fn run_flat(seed: u64, steps: usize) {
                 }
             }
             50..=84 => {
-                let res = t.delete(id);
+                let res = t.delete(None, id);
                 match m.chains.remove(&id) {
                     Some(chain) => {
                         assert_eq!(&res.unwrap(), chain[0].1.as_ref().unwrap(), "{ctx}: delete")
@@ -375,10 +401,7 @@ fn run_versioned(seed: u64, steps: usize) {
             }
             (0..=29, Some(w)) if growing => {
                 let row = random_row(&mut rng);
-                let got = {
-                    let _scope = enter_snapshot(w.snapshot.clone());
-                    t.insert(row.clone()).unwrap()
-                };
+                let got = t.insert(Some(&w.snapshot), row.clone()).unwrap();
                 assert_eq!(got, m.next_row_id, "{ctx}: insert id");
                 m.chains.insert(got, vec![(w.txn, Some(row))]);
                 m.next_row_id += 1;
@@ -386,10 +409,7 @@ fn run_versioned(seed: u64, steps: usize) {
             }
             (0..=49, Some(w)) => {
                 let row = random_row(&mut rng);
-                let res = {
-                    let _scope = enter_snapshot(w.snapshot.clone());
-                    t.update(id, row.clone())
-                };
+                let res = t.update(Some(&w.snapshot), id, row.clone());
                 match m.visible(id, Some((w.snapshot.ts, w.txn))).cloned() {
                     Some(old) => {
                         assert_eq!(res.unwrap(), old, "{ctx}: update returns visible row");
@@ -400,10 +420,7 @@ fn run_versioned(seed: u64, steps: usize) {
                 }
             }
             (50..=79, Some(w)) => {
-                let res = {
-                    let _scope = enter_snapshot(w.snapshot.clone());
-                    t.delete(id)
-                };
+                let res = t.delete(Some(&w.snapshot), id);
                 match m.visible(id, Some((w.snapshot.ts, w.txn))).cloned() {
                     Some(old) => {
                         assert_eq!(res.unwrap(), old, "{ctx}: delete returns visible row");
@@ -433,7 +450,7 @@ fn run_versioned(seed: u64, steps: usize) {
             }
             (10..=29, None) => {
                 let row = random_row(&mut rng);
-                let got = t.insert(row.clone()).unwrap();
+                let got = t.insert(None, row.clone()).unwrap();
                 assert_eq!(got, m.next_row_id, "{ctx}: flat insert id");
                 m.chains.insert(got, vec![(BOOTSTRAP, Some(row))]);
                 m.next_row_id += 1;
@@ -482,14 +499,14 @@ fn run_versioned(seed: u64, steps: usize) {
 
 #[test]
 fn flat_sequences_match_the_model() {
-    for seed in [1, 2, 3, 0x5eed] {
+    for seed in seeds() {
         run_flat(seed, 1500);
     }
 }
 
 #[test]
 fn versioned_sequences_match_the_model() {
-    for seed in [1, 2, 3, 0x5eed] {
+    for seed in seeds() {
         run_versioned(seed, 1500);
     }
 }

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use flowsql::sqlkernel::bound;
 use flowsql::sqlkernel::expr::RowSchema;
+use flowsql::sqlkernel::storage::{new_stamp, Snapshot};
 use flowsql::sqlkernel::{DataType, Database, QueryResult, Value};
 use flowsql::wf::{DataAdapter, DataTable};
 use flowsql::xmlval::{self, rowset, Path, XmlNode};
@@ -202,12 +203,11 @@ fn sql_literal_round_trips_through_parser() {
         let bound = bound::bind(&expr, &RowSchema::empty()).unwrap();
         let catalog = flowsql::sqlkernel::catalog::Catalog::new();
         let named = HashMap::new();
-        let ctx = bound::BoundCtx {
-            catalog: &catalog,
-            params: &[],
-            named_params: &named,
-            row: None,
+        let snapshot = Snapshot {
+            ts: 1,
+            stamp: new_stamp(),
         };
+        let ctx = bound::BoundCtx::new(&catalog, &snapshot, &[], &named);
         let back = bound::eval_bound(&bound, &ctx).unwrap();
         match (&v, &back) {
             (Value::Float(a), Value::Float(b)) => {
